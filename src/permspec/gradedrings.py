@@ -12,9 +12,10 @@ ring honestly commutative.  For p = 2 signs are invisible, so odd degrees
 are allowed there.
 """
 
-import functools
+import heapq
 import itertools
 import re
+from operator import add, le, neg, sub
 
 
 class RingError(ValueError):
@@ -28,33 +29,33 @@ class UnsupportedRegimeError(RingError):
 # -- monomial orders -----------------------------------------------------------
 
 
-def _grevlex_cmp(e1, e2):
-    d1, d2 = sum(e1), sum(e2)
-    if d1 != d2:
-        return 1 if d1 > d2 else -1
-    for i in reversed(range(len(e1))):
-        if e1[i] != e2[i]:
-            # smaller exponent in the last differing position wins
-            return 1 if e1[i] < e2[i] else -1
-    return 0
+def _grevlex_key(e):
+    # higher total degree first, then the smaller exponent in the last
+    # differing position
+    return (sum(e), tuple(map(neg, reversed(e))))
 
 
 class MonomialOrder:
-    """grevlex, or a block order eliminating the first `block` variables."""
+    """grevlex, or a block order eliminating the first `block` variables.
+
+    `key(e)` is a plain tuple that sorts exponent tuples as the order does:
+    for a block order, the grevlex key of the block followed by the grevlex
+    key of the rest.
+    """
 
     def __init__(self, nvars, block=0):
         self.nvars = nvars
         self.block = block
-        self.key = functools.cmp_to_key(self.cmp)
+
+    def key(self, e):
+        b = self.block
+        if b:
+            return _grevlex_key(e[:b]) + _grevlex_key(e[b:])
+        return _grevlex_key(e)
 
     def cmp(self, e1, e2):
-        if self.block:
-            b = self.block
-            c = _grevlex_cmp(e1[:b], e2[:b])
-            if c:
-                return c
-            return _grevlex_cmp(e1[b:], e2[b:])
-        return _grevlex_cmp(e1, e2)
+        k1, k2 = self.key(e1), self.key(e2)
+        return (k1 > k2) - (k1 < k2)
 
 
 # -- raw polynomial arithmetic --------------------------------------------------
@@ -83,7 +84,7 @@ def pscale(f, c, p):
 
 
 def _mono_mul(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def pmul(f, g, p):
@@ -115,30 +116,62 @@ def leading(f, order):
     return m, f[m]
 
 
+def _support(m):
+    # bit k set when variable k occurs: a divisor's support lies in its multiple's
+    return sum(1 << k for k, e in enumerate(m) if e)
+
+
+def _lead(g, order):
+    """Leading monomial, its coefficient and its support, as normal_form
+    takes them."""
+    m, c = leading(g, order)
+    return m, c, _support(m)
+
+
 def _divides(m1, m2):
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def _mono_div(m1, m2):
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
 
 
-def normal_form(f, basis, order, p):
-    """Full normal form of f against a list of polynomials."""
-    f = pnormal(f, p)
-    lead = [leading(g, order) for g in basis]
+def _lcm(m1, m2):
+    return tuple(map(max, m1, m2))
+
+
+def normal_form(f, basis, order, p, lead=None):
+    """Full normal form of f against a list of polynomials.
+
+    `lead` may give the leading terms of `basis`, as `_lead` returns them;
+    callers that reduce many polynomials against one basis pass it once.
+    """
+    if lead is None:
+        lead = [_lead(g, order) for g in basis]
+    key = order.key
     out = {}
-    work = dict(f)
+    work = pnormal(f, p)
+    keys = {m: key(m) for m in work}  # order keys of the monomials seen
     while work:
-        m, c = leading(work, order)
-        reduced = False
-        for g, (lm, lc) in zip(basis, lead):
-            if _divides(lm, m):
-                factor = {_mono_div(m, lm): (c * pow(lc, p - 2, p)) % p}
-                work = padd(work, pscale(pmul(factor, g, p), p - 1, p), p)
-                reduced = True
+        m = max(work, key=keys.__getitem__)
+        c = work[m]
+        ms = _support(m)
+        for g, (lm, lc, ls) in zip(basis, lead):
+            if not ls & ~ms and _divides(lm, m):
+                # work -= (c / lc) * (m / lm) * g
+                q = _mono_div(m, lm)
+                scale = (c * pow(lc, p - 2, p)) % p
+                for mg, cg in g.items():
+                    t = _mono_mul(q, mg)
+                    ct = (work.get(t, 0) - scale * cg) % p
+                    if ct:
+                        work[t] = ct
+                        if t not in keys:
+                            keys[t] = key(t)
+                    else:
+                        del work[t]
                 break
-        if not reduced:
+        else:
             out[m] = c
             del work[m]
     return out
@@ -146,7 +179,7 @@ def normal_form(f, basis, order, p):
 
 def s_polynomial(f, g, order, p):
     (mf, cf), (mg, cg) = leading(f, order), leading(g, order)
-    lcm = tuple(max(a, b) for a, b in zip(mf, mg))
+    lcm = _lcm(mf, mg)
     tf = {_mono_div(lcm, mf): pow(cf, p - 2, p)}
     tg = {_mono_div(lcm, mg): pow(cg, p - 2, p)}
     return padd(pmul(tf, f, p), pscale(pmul(tg, g, p), p - 1, p), p)
@@ -154,50 +187,58 @@ def s_polynomial(f, g, order, p):
 
 def buchberger(gens, order, p):
     """Reduced Groebner basis (sorted by leading monomial, monic)."""
+    key = order.key
     basis = [pnormal(g, p) for g in gens]
     basis = [g for g in basis if g]
-    pairs = list(itertools.combinations(range(len(basis)), 2))
-    while pairs:
-        # normal selection: smallest lcm first
-        def lcm_of(pair):
-            mi, _ = leading(basis[pair[0]], order)
-            mj, _ = leading(basis[pair[1]], order)
-            return tuple(max(a, b) for a, b in zip(mi, mj))
+    lead = [_lead(g, order) for g in basis]  # taken once per element
+    # Heap of S-pairs (key of the lcm, -arrival, i, j): the smallest lcm comes
+    # first (normal selection), and of pairs with equal lcms the newest one.
+    pairs = []
+    arrivals = itertools.count()
 
-        pairs.sort(key=lambda pr: order.key(lcm_of(pr)), reverse=True)
-        i, j = pairs.pop()
-        mi, _ = leading(basis[i], order)
-        mj, _ = leading(basis[j], order)
-        lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-        if lcm == _mono_mul(mi, mj):  # coprime leading terms
-            continue
+    def add_pairs(new):
+        for i, j in new:
+            mi, mj = lead[i][0], lead[j][0]
+            lcm = _lcm(mi, mj)
+            n = -next(arrivals)
+            if lcm != _mono_mul(mi, mj):  # coprime leading terms give nothing
+                heapq.heappush(pairs, (key(lcm), n, i, j))
+
+    add_pairs(itertools.combinations(range(len(basis)), 2))
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
         s = s_polynomial(basis[i], basis[j], order, p)
-        r = normal_form(s, basis, order, p)
+        r = normal_form(s, basis, order, p, lead)
         if r:
+            j = len(basis)
             basis.append(r)
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+            lead.append(_lead(r, order))
+            add_pairs((k, j) for k in range(j))
     # minimalize
     keep = []
-    for i, g in enumerate(basis):
-        lm, _ = leading(g, order)
+    for i, (lm, _, _) in enumerate(lead):
         if any(
-            _divides(leading(h, order)[0], lm)
-            for k, h in enumerate(basis)
-            if k != i and (k in keep or k > i)
+            _divides(lead[k][0], lm)
+            for k in itertools.chain(keep, range(i + 1, len(basis)))
         ):
             continue
         keep.append(i)
     minimal = [basis[i] for i in keep]
+    minimal_lead = [lead[i] for i in keep]
     # inter-reduce and normalize
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order, p) if others else g
+        if others:
+            others_lead = minimal_lead[:i] + minimal_lead[i + 1:]
+            r = normal_form(g, others, order, p, others_lead)
+        else:
+            r = g
         if r:
-            _, lc = leading(r, order)
-            reduced.append(pscale(r, pow(lc, p - 2, p), p))
-    reduced.sort(key=lambda g: order.key(leading(g, order)[0]))
-    return tuple(canonical(g) for g in reduced)
+            lm, lc = leading(r, order)
+            reduced.append((key(lm), pscale(r, pow(lc, p - 2, p), p)))
+    reduced.sort(key=lambda kg: kg[0])
+    return tuple(canonical(g) for _, g in reduced)
 
 
 def canonical(f):
@@ -236,6 +277,7 @@ class GradedPresentation:
             for r in relations
         )
         self._gb_cache = {}
+        self._reducer_cache = {}
         if check:
             for r in self.relations:
                 if not self.is_homogeneous(r):
@@ -325,6 +367,16 @@ class GradedPresentation:
         self._gb_cache[key] = gb
         return gb
 
+    def _reducer(self, gb):
+        """A grevlex basis from groebner_of as dicts, with their leading
+        terms: the arguments of normal_form, built once per basis."""
+        hit = self._reducer_cache.get(gb)
+        if hit is None:
+            basis = [dict(g) for g in gb]
+            hit = (basis, [_lead(g, self.order) for g in basis])
+            self._reducer_cache[gb] = hit
+        return hit
+
     def __repr__(self):
         vs = ", ".join(
             f"{n}({d:+d})" for n, d in zip(self.varnames, self.degrees)
@@ -362,19 +414,16 @@ class HomogeneousIdeal:
         return self.ambient.groebner_of(self.generators)
 
     def member(self, f):
-        f = self.ambient.poly(f)
-        gb = self.groebner()
-        if not gb:
-            return not f
-        order = self.ambient.order
-        return not normal_form(f, [dict(g) for g in gb], order, self.ambient.p)
+        return not self.normal_form(f)
 
     def normal_form(self, f):
-        f = self.ambient.poly(f)
-        gb = [dict(g) for g in self.groebner()]
+        amb = self.ambient
+        f = amb.poly(f)
+        gb = self.groebner()
         if not gb:
             return f
-        return normal_form(f, gb, self.ambient.order, self.ambient.p)
+        basis, lead = amb._reducer(gb)
+        return normal_form(f, basis, amb.order, amb.p, lead)
 
     def is_zero(self):
         """True iff the ideal equals the ideal of ambient relations alone."""

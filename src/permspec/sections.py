@@ -146,6 +146,7 @@ class SectionCategory:
         self.G = G
         self.p = p
         self._objects = None
+        self._maxel = None
         self._z_center = None
         self._hom_cache = {}
 
@@ -236,22 +237,24 @@ class SectionCategory:
 
     def maxel(self):
         """Conjugacy-class representatives of the maximal sections."""
-        objs = self.objects()
-        maximal = []
-        for x in objs:
-            ok = True
-            for y in objs:
-                if self.has_hom(x, y) and not self.has_hom(y, x):
-                    ok = False
-                    break
-            if ok:
-                maximal.append(x)
-        # one representative per isomorphism class
-        reps = []
-        for x in maximal:
-            if not any(self.has_hom(x, r) and self.has_hom(r, x) for r in reps):
-                reps.append(x)
-        return reps
+        if self._maxel is None:
+            objs = self.objects()
+            maximal = []
+            for x in objs:
+                ok = True
+                for y in objs:
+                    if self.has_hom(x, y) and not self.has_hom(y, x):
+                        ok = False
+                        break
+                if ok:
+                    maximal.append(x)
+            # one representative per isomorphism class
+            reps = []
+            for x in maximal:
+                if not any(self.has_hom(x, r) and self.has_hom(r, x) for r in reps):
+                    reps.append(x)
+            self._maxel = reps
+        return self._maxel
 
     def is_EI(self, limit=None):
         """Every endomorphism is an isomorphism."""

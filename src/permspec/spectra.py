@@ -27,6 +27,7 @@ from .groups import (
     GroupError,
     ResourceError,
     is_elementary_abelian,
+    p_rank_of_section,
     quotient,
     subgroup_as_group,
     subgroups,
@@ -336,6 +337,17 @@ def _stratum_shift(E, S_P, S_Q, p, ideal):
 # -- skeleton construction ------------------------------------------------------------
 
 
+def _check_rank_cap(G, p, cap_rank):
+    """Refuse an elementary abelian p-group of rank above cap_rank.
+
+    Its only maximal section is G itself, so glue and dimension would
+    enumerate every section before skeleton() refused it."""
+    if is_elementary_abelian(G, p):
+        rank = p_rank_of_section(G.full_subgroup(), G.trivial_subgroup(), p)
+        if rank > cap_rank:
+            raise ResourceError(f"rank {rank} exceeds the configured cap {cap_rank}")
+
+
 def skeleton(E, p, level="rational", cap_rank=DEFAULT_RANK_CAP, custom_points=()):
     """The named-point skeleton of the spectrum over an elementary abelian E.
 
@@ -348,11 +360,7 @@ def skeleton(E, p, level="rational", cap_rank=DEFAULT_RANK_CAP, custom_points=()
         raise ValueError(f"unknown skeleton level {level!r}")
     if not is_elementary_abelian(E, p):
         raise GroupError("skeleton needs an elementary abelian group")
-    full_spec = local_ring(E, E.trivial_subgroup(), p)
-    if full_spec.ea.rank > cap_rank:
-        raise ResourceError(
-            f"rank {full_spec.ea.rank} exceeds the configured cap {cap_rank}"
-        )
+    _check_rank_cap(E, p, cap_rank)
     points = []
     for S in sorted(subgroups(E), key=lambda s: (s.order, s.elements)):
         Q, proj, spec = stratum_data(E, S, p)
@@ -618,6 +626,7 @@ def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP):
     the disjoint union by the identifications coming from every maximal span
     of the section category; the specialization order descends to the classes.
     """
+    _check_rank_cap(G, p, cap_rank)
     cat = SectionCategory(G, p)
     reps = cat.maxel()
     rels = cat.maximal_relations(reduction=reduction)
@@ -697,11 +706,16 @@ def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP):
 
 
 def components(G, p, cap_rank=DEFAULT_RANK_CAP):
-    """One (maximal section, generic-point class) per irreducible component."""
+    """One (maximal section, generic-point class) per irreducible component.
+
+    A component's generic point is eta(1) of its section's skeleton, or the
+    skeleton's only point M(1) when the section has rank 0 (a p'-group).
+    """
     glued = glue(G, p, level="strata", cap_rank=cap_rank)
+    generic = {ci: "eta(1)" if x.rank() else "M(1)" for x, ci in glued.sections}
     out = []
     for c, prov in sorted(glued.provenance.items()):
-        if any(lbl == "eta(1)" for (_, lbl) in prov):
+        if any(lbl == generic[ci] for (ci, lbl) in prov):
             ci = prov[0][0]
             out.append((glued.sections[ci][0], c))
     assert len(out) == len(glued.sections), "components must match maximal sections"
@@ -710,11 +724,12 @@ def components(G, p, cap_rank=DEFAULT_RANK_CAP):
 
 def dimension(G, p, cap_rank=DEFAULT_RANK_CAP, cross_check=True):
     """Krull dimension of the spectrum: the sectional p-rank of G."""
-    cat = SectionCategory(G, p)
-    dim = max(x.rank() for x in cat.maxel())
-    if cross_check:
-        glued = glue(G, p, level="strata", cap_rank=cap_rank)
-        assert glued.height() == dim, "longest chain disagrees with sectional rank"
+    _check_rank_cap(G, p, cap_rank)
+    if not cross_check:
+        return max(x.rank() for x in SectionCategory(G, p).maxel())
+    glued = glue(G, p, level="strata", cap_rank=cap_rank)
+    dim = max(x.rank() for x, _ in glued.sections)
+    assert glued.height() == dim, "longest chain disagrees with sectional rank"
     return dim
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -118,6 +119,22 @@ def test_resource_limit(capsys):
     code, _, err = run(capsys, "skeleton", "--group", "cyclic:16",
                        "--cap-order", "8")
     assert code == EXIT_RESOURCE and "resource limit" in err
+
+
+def test_components_of_p_prime_group(capsys):
+    code, out, _ = run(capsys, "components", "--group", "cyclic:3", "--prime", "2")
+    assert code == EXIT_OK
+    assert out.startswith("1 irreducible components")
+
+
+def test_rank_cap_checked_before_sections(capsys):
+    for command in ("dim", "glue", "components"):
+        start = time.perf_counter()
+        code, _, err = run(capsys, command, "--group", "ea:2:4")
+        assert code == EXIT_RESOURCE
+        assert "rank 4 exceeds the configured cap 3" in err
+        # enumerating the 513 sections first took minutes
+        assert time.perf_counter() - start < 10
 
 
 def test_byte_identical_runs(capsys):

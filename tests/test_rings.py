@@ -1,9 +1,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permspec import modp
 from permspec.gradedrings import (
     GradedPresentation,
     GradedRingHom,
@@ -24,6 +26,7 @@ from permspec.gradedrings import (
     parse_poly,
     pmul,
     quotient_by,
+    s_polynomial,
     saturate,
 )
 
@@ -42,6 +45,107 @@ def _random_poly(pres, rng, nterms=3, total=2):
             mono[rng.randrange(pres.nvars)] += 1
         f = padd(f, {tuple(mono): rng.randrange(1, pres.p)}, pres.p)
     return f
+
+
+def _grevlex_cmp(e1, e2):
+    """The comparator the order keys replaced, kept as their reference."""
+    d1, d2 = sum(e1), sum(e2)
+    if d1 != d2:
+        return 1 if d1 > d2 else -1
+    for i in reversed(range(len(e1))):
+        if e1[i] != e2[i]:
+            # smaller exponent in the last differing position wins
+            return 1 if e1[i] < e2[i] else -1
+    return 0
+
+
+def _block_cmp(block, e1, e2):
+    if block:
+        c = _grevlex_cmp(e1[:block], e2[:block])
+        if c:
+            return c
+        return _grevlex_cmp(e1[block:], e2[block:])
+    return _grevlex_cmp(e1, e2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.integers(0, n - 1),
+    st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=2, max_size=12),
+)))
+def test_order_key_matches_comparator(case):
+    block, monos = case
+    order = MonomialOrder(len(monos[0]), block)
+    for e1, e2 in itertools.product(monos, repeat=2):
+        want = _block_cmp(block, e1, e2)
+        k1, k2 = order.key(e1), order.key(e2)
+        assert (k1 > k2) - (k1 < k2) == want
+        assert order.cmp(e1, e2) == want
+
+
+def _in_ideal(f, gens, p):
+    """Membership of a homogeneous f in the ideal of homogeneous gens, by
+    linear algebra: f must be an F_p-combination of the monomial multiples
+    of the gens in its own degree."""
+    deg = sum(next(iter(f)))
+    nvars = len(next(iter(f)))
+    rows = []
+    for g in gens:
+        if not g:
+            continue
+        e = deg - sum(next(iter(g)))
+        for u in itertools.product(range(max(e, 0) + 1), repeat=nvars):
+            if sum(u) == e:
+                rows.append(pmul({u: 1}, g, p))
+    cols = sorted({m for r in rows + [f] for m in r})
+
+    def rank_of(polys):
+        return modp.rank(np.array([[r.get(m, 0) for m in cols] for r in polys]), p)
+
+    return bool(rows) and rank_of(rows) == rank_of(rows + [f])
+
+
+def certify_groebner(gb, gens, order, p):
+    """Check that gb is the reduced Groebner basis of the ideal of gens."""
+    basis = [dict(g) for g in gb]
+    leads = [leading(g, order) for g in basis]
+    # a generating set of the same ideal
+    for f in gens:
+        assert not normal_form(f, basis, order, p)
+    for g in basis:
+        assert _in_ideal(g, gens, p)
+    # Buchberger's criterion
+    for f, g in itertools.combinations(basis, 2):
+        assert not normal_form(s_polynomial(f, g, order, p), basis, order, p)
+    # reduced and monic, sorted by leading monomial
+    assert all(lc == 1 for _, lc in leads)
+    for i, g in enumerate(basis):
+        for j, (lm, _) in enumerate(leads):
+            if i != j:
+                assert not any(
+                    all(a <= b for a, b in zip(lm, m)) for m in g
+                )
+    keys = [order.key(lm) for lm, _ in leads]
+    assert keys == sorted(keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([2, 3, 5]),
+    st.integers(2, 4),
+    st.integers(0, 3),
+)
+def test_buchberger_certified(seed, p, nvars, block):
+    rng = random.Random(seed)
+    block = min(block, nvars - 1)
+    pres = _poly_ring(p, ["x", "y", "z", "w"][:nvars])
+    gens = [
+        _random_poly(pres, rng, nterms=rng.randrange(1, 5), total=rng.randrange(1, 4))
+        for _ in range(rng.randrange(1, 5))
+    ]
+    order = MonomialOrder(nvars, block)
+    certify_groebner(buchberger(gens, order, p), gens, order, p)
 
 
 def test_monomial_order_grevlex():

@@ -163,6 +163,13 @@ def test_d8_summary_numbers():
     assert p_rank(D8, 2) == 2
 
 
+def test_components_of_p_prime_group():
+    # the only maximal section is trivial: its skeleton is the single point M(1)
+    comps = components(cyclic(3), 2)
+    assert len(comps) == 1
+    assert comps[0][0].rank() == 0
+
+
 def test_q8_glue():
     Q8 = quaternion()
     g = glue(Q8, 2)
