@@ -10,7 +10,6 @@ Exit codes: 0 ok, 2 parse error, 3 resource limit, 4 verification failure.
 
 import argparse
 import json
-import random
 import sys
 
 from .groups import (
@@ -29,7 +28,6 @@ from .spectra import (
     components,
     dimension,
     fold,
-    frattini_cover_check,
     glue,
     p_rank,
     skeleton,
@@ -137,7 +135,6 @@ def run(argv=None):
     ap.add_argument("--format", choices=["text", "json", "dot"], default="text")
     ap.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
     ap.add_argument("--cap-rank", type=int, default=DEFAULT_RANK_CAP)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--matrix", default=None,
                     help="fold automorphism, rows comma-separated (e.g. 01,10)")
     args = ap.parse_args(argv)
@@ -147,7 +144,6 @@ def run(argv=None):
         raise CliParseError(f"--prime {p} is not prime")
     if args.cap_order <= 0 or args.cap_rank <= 0:
         raise CliParseError("caps must be positive")
-    random.seed(args.seed)
 
     if args.command == "verify":
         if args.suite not in SUITES:

@@ -22,7 +22,8 @@ import json
 import numpy as np
 
 from . import modp
-from .groups import FiniteGroup, GroupError, quotient, subgroup_as_group
+from .groups import FiniteGroup, quotient, subgroup_as_group
+from .modp import two_prime
 
 
 class ComplexError(ValueError):
@@ -286,7 +287,6 @@ class EquivariantChainMap:
 
     def compose(self, earlier):
         """self o earlier; shifts add."""
-        assert earlier.target.dim is not None
         s = earlier.shift
         comps = {}
         for n in earlier.source.degrees():
@@ -420,10 +420,6 @@ def build_u(G, p, pi):
     return PermComplex(
         G, p, {2: X, 1: X, 0: trivial_gset(G)}, {2: tau, 1: aug}
     )
-
-
-def two_prime(p):
-    return 2 if p != 2 else 1
 
 
 def map_a(u):
@@ -632,13 +628,6 @@ def res_map(f, H):
     return EquivariantChainMap(src, tgt, f.shift, dict(f.components))
 
 
-def inflate_complex(C, G, proj):
-    """Inflate along a surjection proj: G -> C.group (element-index array)."""
-    pm = np.asarray(proj, dtype=np.int64)
-    gsets = {n: GSet(G, gs.action[pm]) for n, gs in C.gsets.items()}
-    return PermComplex(G, C.p, gsets, dict(C.diffs))
-
-
 # -- the master relation and its explicit witness ------------------------------------
 
 
@@ -688,7 +677,6 @@ def master_relation_witness(f):
     size = gs.size
     assert size % (p ** 3) == 0 and size // (p ** 3) == len(want)
     vectors = []
-    blocks = sorted(want, reverse=True)  # ascending left tensor degree order
     blocks = sorted(want)  # (1,2,2) < (2,1,2) < (2,2,1): ascending u1-degree
     for bi, _blk in enumerate(blocks):
         base = bi * p ** 3

@@ -245,10 +245,6 @@ def canonical(f):
     return tuple(sorted(f.items()))
 
 
-def from_canonical(t):
-    return dict(t)
-
-
 # -- presentations ---------------------------------------------------------------
 
 
@@ -301,9 +297,6 @@ class GradedPresentation:
     def one(self):
         return pconst(1, self.nvars, self.p)
 
-    def const(self, c):
-        return pconst(c, self.nvars, self.p)
-
     def var(self, name):
         return pvar(self.index[name], self.nvars)
 
@@ -345,14 +338,12 @@ class GradedPresentation:
         return format_poly(f, self)
 
     def digest(self):
-        return hash(
-            (
-                self.p,
-                self.varnames,
-                self.degrees,
-                tuple(sorted((k, v) for k, v in self.twists.items())),
-                tuple(canonical(r) for r in self.relations),
-            )
+        return (
+            self.p,
+            self.varnames,
+            self.degrees,
+            tuple(sorted((k, v) for k, v in self.twists.items())),
+            tuple(canonical(r) for r in self.relations),
         )
 
     def groebner_of(self, gens, block=0):
@@ -448,18 +439,6 @@ class HomogeneousIdeal:
     def __repr__(self):
         gs = ", ".join(self.ambient.format(dict(g)) for g in self.generators)
         return f"<{gs}>"
-
-
-def ideal_eq(I, J):
-    return I == J
-
-
-def member(f, I):
-    return I.member(f)
-
-
-def groebner(I):
-    return I.groebner()
 
 
 # -- elimination / saturation / contraction --------------------------------------

@@ -36,6 +36,7 @@ class FiniteGroup:
             list(generator_witness) if generator_witness is not None else None
         )
         self._inv = None
+        self._digest = None
         if check:
             self._validate()
 
@@ -141,7 +142,10 @@ class FiniteGroup:
         return Subgroup(self, elems)
 
     def digest(self):
-        return hash((self.order, self.table.tobytes()))
+        """The table's content: an exact cache key, equal iff the tables are."""
+        if self._digest is None:
+            self._digest = (self.order, self.table.tobytes())
+        return self._digest
 
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and np.array_equal(
@@ -149,7 +153,7 @@ class FiniteGroup:
         )
 
     def __hash__(self):
-        return self.digest()
+        return hash(self.digest())
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -263,12 +267,6 @@ class GroupHom:
         return Subgroup(
             self.source, [x for x in range(self.source.order) if self.map[x] == 0]
         )
-
-    def image_elements(self):
-        return sorted(set(int(x) for x in self.map))
-
-    def is_surjective(self):
-        return len(set(int(x) for x in self.map)) == self.target.order
 
     def compose(self, earlier):
         """self o earlier."""
@@ -578,10 +576,6 @@ def frattini(G, p=None):
     return Subgroup(G, elems, check=False)
 
 
-def conjugate(H, g):
-    return H.conjugate(g)
-
-
 def is_elementary_abelian(X, p):
     """True iff the group (or subgroup) is abelian of exponent dividing p."""
     if isinstance(X, Subgroup):
@@ -603,16 +597,6 @@ def p_rank_of_section(H, K, p):
         n //= p
         r += 1
     return r
-
-
-def are_conjugate_subgroups(G, A, B):
-    if A.order != B.order:
-        return False
-    bs = set(B.elements)
-    for g in range(G.order):
-        if all(G.conj(a, g) in bs for a in A.elements):
-            return True
-    return False
 
 
 def conjugating_elements(G, A, B):

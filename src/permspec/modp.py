@@ -8,6 +8,11 @@ so no sparsity or pivoting cleverness is attempted.
 import numpy as np
 
 
+def two_prime(p):
+    """2' = 2 for odd p and 1 for p = 2: the shift of the generators a, b."""
+    return 2 if p != 2 else 1
+
+
 def inv_mod(a, p):
     return pow(int(a) % p, p - 2, p)
 

@@ -23,7 +23,6 @@ from .groups import (
     GroupError,
     center,
     p_subgroups,
-    is_elementary_abelian,
 )
 
 
@@ -37,11 +36,7 @@ class SectionObject:
         if check:
             if not H.contains_subgroup(K):
                 raise GroupError("K must be contained in H")
-            if not all(
-                H.parent.conj(k, h) in set(K.elements)
-                for k in K.elements
-                for h in H.elements
-            ):
+            if not K.is_normal(H):
                 raise GroupError("K must be normal in H")
             if not H.is_p_group(p) or not K.is_p_group(p):
                 raise GroupError("section subgroups must be p-groups")
@@ -105,7 +100,6 @@ class SectionMorphism:
         )
 
     def is_iso(self):
-        G = self.source.group
         Hg = self.source.H.conjugate(self.g)
         Kg = self.source.K.conjugate(self.g)
         return (
@@ -117,7 +111,6 @@ class SectionMorphism:
         """The map H -> H'/K' induced by conjugation, as a tuple over H."""
         G = self.source.group
         Kp = set(self.target.K.elements)
-        cosets = {}
         key = []
         for h in self.source.H.elements:
             x = G.conj(h, self.g)
@@ -157,11 +150,7 @@ class SectionCategory:
                 for K in p_subgroups(self.G, self.p):
                     if not H.contains_subgroup(K):
                         continue
-                    if not all(
-                        self.G.conj(k, h) in set(K.elements)
-                        for k in K.elements
-                        for h in H.elements
-                    ):
+                    if not K.is_normal(H):
                         continue
                     if _section_elementary_abelian(H, K, self.p):
                         out.append(SectionObject(H, K, self.p, check=False))
@@ -185,7 +174,6 @@ class SectionCategory:
         if reduction == "center_target":
             if self._z_center is None:
                 self._z_center = center(self.G)
-            zh = set()
             frontier = set(self._z_center.elements) | set(y.H.elements)
             # subgroup generated by Z(G) and H'
             gen = self.G.generated_subgroup(sorted(frontier))

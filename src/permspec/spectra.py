@@ -21,13 +21,13 @@ images of every maximal span of the section category (union-find on points).
 """
 
 import itertools
-import json
 
 from .groups import (
     GroupError,
     ResourceError,
     is_elementary_abelian,
     p_rank_of_section,
+    p_subgroups,
     quotient,
     subgroup_as_group,
     subgroups,
@@ -107,14 +107,11 @@ class SpectrumSkeleton:
         self.points = list(points)
         n = len(self.points)
         rel = set(order)
-        # transitive closure, then sanity: antisymmetry
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(list(rel), list(rel)):
-                if b == c and a != d and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
+        # transitive closure (Warshall over the points), then sanity: antisymmetry
+        for k in range(n):
+            into = [a for a in range(n) if (a, k) in rel]
+            out = [b for b in range(n) if (k, b) in rel]
+            rel.update((a, b) for a in into for b in out if a != b)
         for (a, b) in rel:
             assert (b, a) not in rel, "specialization order is not antisymmetric"
         self.order = frozenset(rel)
@@ -348,15 +345,14 @@ def _check_rank_cap(G, p, cap_rank):
             raise ResourceError(f"rank {rank} exceeds the configured cap {cap_rank}")
 
 
-def skeleton(E, p, level="rational", cap_rank=DEFAULT_RANK_CAP, custom_points=()):
+def skeleton(E, p, level="rational", cap_rank=DEFAULT_RANK_CAP):
     """The named-point skeleton of the spectrum over an elementary abelian E.
 
     level "strata" keeps only the very closed points M(S) and the stratum
     generics eta(S); "rational" adds the prime-field rational points and one
-    family token per stratum of rank >= 2; "custom" additionally appends
-    user-supplied (stratum, ideal generators) pairs.
+    family token per stratum of rank >= 2.
     """
-    if level not in ("strata", "rational", "custom"):
+    if level not in ("strata", "rational"):
         raise ValueError(f"unknown skeleton level {level!r}")
     if not is_elementary_abelian(E, p):
         raise GroupError("skeleton needs an elementary abelian group")
@@ -378,7 +374,7 @@ def skeleton(E, p, level="rational", cap_rank=DEFAULT_RANK_CAP, custom_points=()
                     f"eta({slbl})",
                 )
             )
-        if qrank >= 2 and level in ("rational", "custom"):
+        if qrank >= 2 and level == "rational":
             for vec_lbl, gen in _lines(spec):
                 points.append(
                     SpectrumPoint(
@@ -390,20 +386,6 @@ def skeleton(E, p, level="rational", cap_rank=DEFAULT_RANK_CAP, custom_points=()
                 )
             points.append(
                 SpectrumPoint(S, _token_ideal(spec), KIND_FAMILY, f"token({slbl})")
-            )
-    if level == "custom":
-        for k, (S, gens) in enumerate(custom_points):
-            _, _, spec = stratum_data(E, S, p)
-            gens = [
-                spec.presentation.poly(g) if isinstance(g, str) else g for g in gens
-            ]
-            points.append(
-                SpectrumPoint(
-                    S,
-                    HomogeneousIdeal(spec.presentation, gens),
-                    KIND_CUSTOM,
-                    f"custom{k}({_sub_label(S)})",
-                )
             )
     order = _specialization_order(E, p, points)
     skel = SpectrumSkeleton(points, order)
@@ -417,8 +399,8 @@ def _specialization_order(E, p, points):
     Very closed points are closed; stratum generics specialize to everything
     in the strata above; a rational point's closure is exactly itself, the
     very closed point of its own stratum and the very closed point of the
-    preimage of its line.  Family tokens and custom points go through the
-    general closure_ideal transport.
+    preimage of its line.  Family tokens go through the general closure_ideal
+    transport.
     """
     by_stratum = {}
     for j, q in enumerate(points):
@@ -462,7 +444,7 @@ def _specialization_order(E, p, points):
                 if Q.stratum.elements in (P.stratum.elements, pre.elements):
                     order.add((i, j))
             continue
-        # general path: family tokens and custom points
+        # general path: family tokens
         for skey, S_Q in sorted(strata.items()):
             if not S_Q.contains_subgroup(P.stratum):
                 continue
@@ -618,6 +600,19 @@ class _UnionFind:
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
 
+    def classes(self):
+        """(members of each class, class index of each element); classes are
+        ordered by their least member, members ascending."""
+        by_root = {}
+        for a in range(len(self.parent)):
+            by_root.setdefault(self.find(a), []).append(a)
+        members = [by_root[r] for r in sorted(by_root)]
+        cls_of = [0] * len(self.parent)
+        for c, ms in enumerate(members):
+            for a in ms:
+                cls_of[a] = c
+        return members, cls_of
+
 
 def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP):
     """Skeleton of the spectrum for a general finite group.
@@ -663,27 +658,22 @@ def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP):
             if a is not None and b is not None:
                 uf.union(a, b)
     # collapse to classes
-    classes = {}
-    for gid in range(total):
-        classes.setdefault(uf.find(gid), []).append(gid)
-    roots = sorted(classes)
-    cls_of = {gid: roots.index(uf.find(gid)) for gid in range(total)}
+    classes, cls_of = uf.classes()
 
     def local_of(gid):
         ci = max(i for i, off in enumerate(offsets) if off <= gid)
         return ci, gid - offsets[ci]
 
     points, provenance = [], {}
-    for c, root in enumerate(roots):
-        members = classes[root]
+    for c, members in enumerate(classes):
         kinds = set()
         prov = []
-        for gid in sorted(members):
+        for gid in members:
             ci, li = local_of(gid)
             lp = plats[reps[ci].key()].skel.points[li]
             kinds.add(lp.kind)
             prov.append((ci, lp.label))
-        ci, li = local_of(min(members))
+        ci, li = local_of(members[0])
         rp = plats[reps[ci].key()].skel.points[li]
         kind = KIND_VERY_CLOSED if KIND_VERY_CLOSED in kinds else rp.kind
         points.append(
@@ -722,11 +712,9 @@ def components(G, p, cap_rank=DEFAULT_RANK_CAP):
     return out
 
 
-def dimension(G, p, cap_rank=DEFAULT_RANK_CAP, cross_check=True):
+def dimension(G, p, cap_rank=DEFAULT_RANK_CAP):
     """Krull dimension of the spectrum: the sectional p-rank of G."""
     _check_rank_cap(G, p, cap_rank)
-    if not cross_check:
-        return max(x.rank() for x in SectionCategory(G, p).maxel())
     glued = glue(G, p, level="strata", cap_rank=cap_rank)
     dim = max(x.rank() for x, _ in glued.sections)
     assert glued.height() == dim, "longest chain disagrees with sectional rank"
@@ -734,9 +722,13 @@ def dimension(G, p, cap_rank=DEFAULT_RANK_CAP, cross_check=True):
 
 
 def p_rank(G, p):
-    """Maximal rank of an elementary abelian subgroup (kernel-free section)."""
-    cat = SectionCategory(G, p)
-    return max(x.rank() for x in cat.objects() if x.K.order == 1)
+    """Maximal rank of an elementary abelian p-subgroup of G."""
+    one = G.trivial_subgroup()
+    return max(
+        p_rank_of_section(E, one, p)
+        for E in p_subgroups(G, p)
+        if is_elementary_abelian(E, p)
+    )
 
 
 def fold(skel, matrix):
@@ -771,19 +763,11 @@ def fold(skel, matrix):
         moved = SpectrumPoint(
             S2, hom.apply_ideal(pt.ideal), pt.kind, pt.label + "'"
         )
-        if pt.kind == KIND_CUSTOM:
-            moved.kind = KIND_CUSTOM
         uf.union(i, _locate(skel, moved))
-    classes = {}
-    for i in range(len(skel.points)):
-        classes.setdefault(uf.find(i), []).append(i)
-    roots = sorted(classes)
-    cls_of = {i: roots.index(uf.find(i)) for i in range(len(skel.points))}
+    classes, cls_of = uf.classes()
     points, provenance = [], {}
-    for c, root in enumerate(roots):
-        members = sorted(classes[root])
-        rp = skel.points[members[0]]
-        points.append(rp)
+    for c, members in enumerate(classes):
+        points.append(skel.points[members[0]])
         provenance[c] = [(0, skel.points[i].label) for i in members]
     order = set()
     for (a, b) in skel.order:

@@ -27,7 +27,6 @@ import numpy as np
 from . import modp
 from .groups import (
     GroupError,
-    index_p_normals,
     is_elementary_abelian,
     quotient,
     subgroup_as_group,
@@ -37,13 +36,11 @@ from .gradedrings import (
     GradedRingHom,
     HomogeneousIdeal,
     contract,
+    padd,
     pmul,
     pscale,
 )
-
-
-def two_prime(p):
-    return 2 if p != 2 else 1
+from .modp import two_prime
 
 
 class EAStructure:
@@ -142,13 +139,21 @@ def coordinates(ea):
     return out
 
 
-def scalar_of(pi, pi2):
-    """The unique lam with pi2 = pi^lam, or None for distinct kernels."""
-    p = pi.ea.p
-    for lam in range(1, p):
-        if tuple((lam * c) % p for c in pi.f) == pi2.f:
-            return lam
-    return None
+def dependent_triples(ea):
+    """(c1, c2, c3, lam3) with pi3^{lam3} = (pi1 pi2)^{-1}, one per triple of
+    distinct kernels, in lex order of (c1, c2)."""
+    p = ea.p
+    seen = set()
+    for c1, c2 in itertools.combinations(coordinates(ea), 2):
+        f3p = tuple((-(a + b)) % p for a, b in zip(c1.f, c2.f))
+        if not any(f3p):
+            continue  # c2 = -c1: same kernel, no triple
+        c3 = Coordinate(ea, canonical_functional(f3p, p))
+        key = frozenset((c1.label, c2.label, c3.label))
+        if len(key) < 3 or key in seen:
+            continue
+        seen.add(key)
+        yield c1, c2, c3, leading_scalar(f3p, p)
 
 
 class LocalRingSpec:
@@ -192,6 +197,10 @@ def local_ring(E, H, p):
     return spec
 
 
+# presentation of R'_E(H) (generators zp_N / zm_N, relations (b)-(d))
+present_Rloc = local_ring
+
+
 def _build_local_ring(ea, H):
     p = ea.p
     d = two_prime(p)
@@ -207,19 +216,10 @@ def _build_local_ring(ea, H):
     for lbl in sorted(minus_of):
         variables.append((minus_of[lbl], -d))
     pres = GradedPresentation(p, variables)
-    rels = []
-    seen_triples = set()
-    for c1, c2 in itertools.combinations(coords, 2):
-        f3p = tuple((-(a + b)) % p for a, b in zip(c1.f, c2.f))
-        if all(x == 0 for x in f3p):
-            continue  # c2 = -c1: same kernel, no triple
-        lam3 = leading_scalar(f3p, p)
-        c3 = Coordinate(ea, canonical_functional(f3p, p))
-        tkey = frozenset((c1.label, c2.label, c3.label))
-        if tkey in seen_triples or len(tkey) < 3:
-            continue
-        seen_triples.add(tkey)
-        rels.append(_master_instance(pres, plus_of, (c1, 1), (c2, 1), (c3, lam3)))
+    rels = [
+        _master_instance(pres, plus_of, (c1, 1), (c2, 1), (c3, lam3))
+        for c1, c2, c3, lam3 in dependent_triples(ea)
+    ]
     rels = [r for r in rels if r]
     # discard duplicate relations by normal form of the polynomials
     uniq, seen = [], set()
@@ -253,20 +253,7 @@ def _master_instance(pres, plus_of, *slots):
     t1 = pmul(a1, pmul(b2, b3, p), p)
     t2 = pmul(b1, pmul(a2, b3, p), p)
     t3 = pmul(b1, pmul(b2, a3, p), p)
-    out = {}
-    for t in (t1, t2, t3):
-        for m, c in t.items():
-            c2 = (out.get(m, 0) + c) % p
-            if c2:
-                out[m] = c2
-            else:
-                out.pop(m, None)
-    return out
-
-
-def present_Rloc(E, H, p):
-    """Presentation of R'_E(H) (generators zp_N / zm_N, relations (b)-(d))."""
-    return local_ring(E, H, p)
+    return padd(padd(t1, t2, p), t3, p)
 
 
 def present_Rtotal(E, p):
@@ -289,32 +276,14 @@ def present_Rtotal(E, p):
     variables = [(f"a_{c.label}", 0, twist(c.label)) for c in coords]
     variables += [(f"b_{c.label}", -d, twist(c.label)) for c in coords]
     pres = GradedPresentation(p, variables, twist_len=nt)
+    a = lambda c: pres.var(f"a_{c.label}")
+    b = lambda c: pres.var(f"b_{c.label}")
     rels = []
-    seen = set()
-    for c1, c2 in itertools.combinations(coords, 2):
-        f3p = tuple((-(a + b)) % p for a, b in zip(c1.f, c2.f))
-        if all(x == 0 for x in f3p):
-            continue
-        lam3 = leading_scalar(f3p, p)
-        c3 = Coordinate(ea, canonical_functional(f3p, p))
-        tkey = frozenset((c1.label, c2.label, c3.label))
-        if tkey in seen or len(tkey) < 3:
-            continue
-        seen.add(tkey)
-        a = lambda c: pres.var(f"a_{c.label}")
-        b = lambda c: pres.var(f"b_{c.label}")
+    for c1, c2, c3, lam3 in dependent_triples(ea):
         t1 = pmul(a(c1), pmul(b(c2), b(c3), p), p)
         t2 = pmul(b(c1), pmul(a(c2), b(c3), p), p)
         t3 = pscale(pmul(b(c1), pmul(b(c2), a(c3), p), p), lam3, p)
-        rel = {}
-        for t in (t1, t2, t3):
-            for m, c in t.items():
-                c2_ = (rel.get(m, 0) + c) % p
-                if c2_:
-                    rel[m] = c2_
-                else:
-                    rel.pop(m, None)
-        rels.append(rel)
+        rels.append(padd(padd(t1, t2, p), t3, p))
     return GradedPresentation(p, variables, relations=rels, twist_len=nt)
 
 

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from .groups import cyclic, elementary_abelian, product, quotient, subgroups
+from .groups import cyclic, elementary_abelian, quotient, subgroup_as_group, subgroups
 from .complexes import (
     build_u,
     cone,
@@ -26,14 +26,14 @@ from .complexes import (
     psi_map,
     res_complex,
     res_map,
-    two_prime,
     verify_homotopy,
 )
 from .twisted import (
+    Coordinate,
     EAStructure,
     canonical_functional,
     coordinates,
-    leading_scalar,
+    dependent_triples,
     present_Rtotal,
 )
 from .gradedrings import count_standard_monomials
@@ -77,25 +77,6 @@ def verify_units():
     return ok, lines
 
 
-def _dependent_triples(ea):
-    """(c1, c2, c3, lam3) with pi3^{lam3} = (pi1 pi2)^{-1}, distinct kernels."""
-    p = ea.p
-    out, seen = [], set()
-    for c1, c2 in itertools.combinations(coordinates(ea), 2):
-        f3p = tuple((-(a + b)) % p for a, b in zip(c1.f, c2.f))
-        if not any(f3p):
-            continue
-        from .twisted import Coordinate
-
-        c3 = Coordinate(ea, canonical_functional(f3p, p))
-        key = frozenset((c1.label, c2.label, c3.label))
-        if len(key) < 3 or key in seen:
-            continue
-        seen.add(key)
-        out.append((c1, c2, c3, leading_scalar(f3p, p)))
-    return out
-
-
 def verify_master():
     """The three-term relation map is null-homotopic with the computed scalar
     (and the explicit witness checks); a wrong scalar is rejected for p odd."""
@@ -105,7 +86,7 @@ def verify_master():
         ("C3xC3", elementary_abelian(3, 2), 3),
     ):
         ea = EAStructure(E, p)
-        for c1, c2, c3, lam3 in _dependent_triples(ea):
+        for c1, c2, c3, lam3 in dependent_triples(ea):
             us = [build_u(E, p, _pi_array(ea, c)) for c in (c1, c2, c3)]
             f = master_relation_map(*us, lam3=lam3)
             good = is_null_homotopic(f)[0]
@@ -151,8 +132,6 @@ def verify_functors():
                         x for x in range(E.order) if int(proj.map[x]) == b
                     )
                     fbar.append(ea.functional_on(c.f, x))
-                from .twisted import Coordinate
-
                 cbar = Coordinate(qea, canonical_functional(tuple(fbar), p))
                 u_bar = build_u(Q, p, _pi_array(qea, cbar))
                 good = (
@@ -180,8 +159,6 @@ def verify_functors():
                 lines.append(f"{tag}: Res = (unit[2'], 0, iso) = {good}")
             else:
                 ru, _ = res_complex(u, H)
-                from .groups import subgroup_as_group
-
                 Hg2, emb = subgroup_as_group(H)
                 pisub = [
                     ea.functional_on(c.f, int(emb[h]))
@@ -204,7 +181,12 @@ def verify_functors():
 
 def verify_hilbert(max_shift_cp=6, max_q_cp=4, max_twist_klein=3, max_shift_klein=4):
     """Graded hom dimensions computed on complexes equal the standard-monomial
-    counts of the presented twisted ring."""
+    counts of the presented twisted ring.
+
+    The comparison is made, and holds, at p = 2 only (C2 and the Klein
+    four-group).  At odd p the two disagree: over C3, at six pieces with
+    q <= 3 and -8 <= s <= 2, all at odd shifts, where present_Rtotal has no
+    classes; over C3xC3 at even shifts as well."""
     ok, lines = True, []
     # C2: Hom(1, u^q [s]) against the two-variable presentation
     E, p = cyclic(2), 2

@@ -1,0 +1,61 @@
+"""CLI output contract: stdout bytes and exit codes of fast commands.
+
+The expected files under ``tests/golden/`` record what the CLI printed before
+a change; a refactor must reproduce them exactly.  To record them afresh
+(only when the output is meant to change), run from the repository root:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from permspec.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+CASES = {
+    "sections_klein": ["sections", "--group", "klein"],
+    "sections_d8": ["sections", "--group", "dihedral:8"],
+    "maxel_klein": ["maxel", "--group", "klein"],
+    "maxel_d8": ["maxel", "--group", "dihedral:8"],
+    "relations_klein": ["relations", "--group", "klein"],
+    "relations_d8": ["relations", "--group", "dihedral:8"],
+    "ring_klein": ["ring", "--group", "klein"],
+    "ring_d8": ["ring", "--group", "dihedral:8"],
+    "skeleton_klein_dot": ["skeleton", "--group", "klein", "--format", "dot"],
+    "glue_d8_json": ["glue", "--group", "dihedral:8", "--format", "json"],
+    "components_q8": ["components", "--group", "quaternion"],
+    "dim_q8": ["dim", "--group", "quaternion"],
+    "fold_klein": ["fold", "--group", "klein", "--matrix", "01,10"],
+    "verify_units": ["verify", "units"],
+}
+
+
+def run_cli(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_golden(name):
+    code, out = run_cli(CASES[name])
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == codes[name]
+    assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name, argv in sorted(CASES.items()):
+        codes[name], out = run_cli(argv)
+        (GOLDEN / f"{name}.out").write_text(out)
+    (GOLDEN / "exit_codes.json").write_text(
+        json.dumps(codes, sort_keys=True, indent=2) + "\n")

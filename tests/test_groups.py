@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permspec.groups import (
+    FiniteGroup,
     GroupError,
     ResourceError,
     center,
@@ -170,3 +172,34 @@ def test_p_subgroups_are_p_groups():
                 continue
             for S in p_subgroups(G, p):
                 assert S.is_p_group(p)
+
+
+def _relabel(G, perm):
+    """G's table with every element x renamed perm[x] (perm fixes 0)."""
+    pm = np.asarray(perm)
+    t = np.empty_like(G.table)
+    t[np.ix_(pm, pm)] = pm[G.table]
+    return FiniteGroup(t)
+
+
+def test_digest_is_exact():
+    klein = elementary_abelian(2, 2)
+    c2c4 = product(cyclic(2), cyclic(4))
+    groups = [
+        dihedral(8),
+        quaternion(),
+        c2c4,
+        klein,
+        _relabel(klein, [0, 2, 3, 1]),
+        _relabel(c2c4, [0, 2, 1, 3, 4, 6, 5, 7]),
+    ]
+    # every relabelling of the Klein four-group is an automorphism
+    assert np.array_equal(groups[4].table, klein.table)
+    assert not np.array_equal(groups[5].table, c2c4.table)
+    for G in groups:
+        assert G.digest() == (G.order, G.table.tobytes())
+        for H in groups:
+            same = G.order == H.order and np.array_equal(G.table, H.table)
+            assert (G.digest() == H.digest()) == same
+            if same:
+                assert hash(G) == hash(H)

@@ -7,6 +7,7 @@ from permspec.groups import (
     cyclic,
     dihedral,
     elementary_abelian,
+    product,
     quaternion,
 )
 from permspec.sections import SectionCategory
@@ -16,6 +17,8 @@ from permspec.spectra import (
     KIND_STRATUM_GENERIC,
     KIND_VERY_CLOSED,
     SectionPlatform,
+    SpectrumPoint,
+    SpectrumSkeleton,
     components,
     dimension,
     fold,
@@ -161,6 +164,43 @@ def test_d8_summary_numbers():
     assert len(components(D8, 2)) == 3
     assert dimension(D8, 2) == 2
     assert p_rank(D8, 2) == 2
+
+
+def _p_rank_by_sections(G, p):
+    """The section-based definition: the largest rank of a section (E, 1)."""
+    cat = SectionCategory(G, p)
+    return max(x.rank() for x in cat.objects() if x.K.order == 1)
+
+
+@pytest.mark.parametrize(
+    "G, p",
+    [
+        (dihedral(8), 2),
+        (dihedral(16), 2),
+        (quaternion(), 2),
+        (product(cyclic(4), cyclic(4)), 2),
+        (cyclic(27), 3),
+    ],
+    ids=["D8", "D16", "Q8", "C4xC4", "C27"],
+)
+def test_p_rank_matches_sections(G, p):
+    assert p_rank(G, p) == _p_rank_by_sections(G, p)
+
+
+def _bare_points(n):
+    S = cyclic(2).trivial_subgroup()
+    return [SpectrumPoint(S, None, KIND_VERY_CLOSED, f"x{i}") for i in range(n)]
+
+
+def test_skeleton_closes_the_order():
+    skel = SpectrumSkeleton(_bare_points(3), {(0, 1), (1, 2)})
+    assert skel.order == {(0, 1), (1, 2), (0, 2)}
+    assert skel.edges() == [(0, 1), (1, 2)]
+
+
+def test_skeleton_rejects_a_cycle():
+    with pytest.raises(AssertionError, match="antisymmetric"):
+        SpectrumSkeleton(_bare_points(2), {(0, 1), (1, 0)})
 
 
 def test_components_of_p_prime_group():

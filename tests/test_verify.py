@@ -1,3 +1,9 @@
+import pytest
+
+from permspec.complexes import hom_dim
+from permspec.gradedrings import count_standard_monomials
+from permspec.groups import cyclic
+from permspec.twisted import EAStructure, coordinates, present_Rtotal
 from permspec.verify import SUITES, verify_functors, verify_master, verify_units
 
 
@@ -31,3 +37,23 @@ def test_hilbert_suite_small():
         max_shift_cp=3, max_q_cp=2, max_twist_klein=2, max_shift_klein=2
     )
     assert ok, lines
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="at odd p present_Rtotal has no classes at odd shifts; over C3 "
+    "(q, s) = (1,-1), (2,-3), (2,-1), (3,-5), (3,-3), (3,-1) count 1 against 0",
+)
+def test_hilbert_odd_prime_c3():
+    E, p = cyclic(3), 3
+    ea = EAStructure(E, p)
+    (c,) = coordinates(ea)
+    pi = [ea.functional_on(c.f, x) for x in range(E.order)]
+    pres = present_Rtotal(E, p)
+    mismatches = [
+        (q, s, hom_dim(E, p, [pi] * q, s), count_standard_monomials(pres, s, (q,)))
+        for q in range(4)
+        for s in range(-8, 3)
+    ]
+    assert [m for m in mismatches if m[2] != m[3]] == []
