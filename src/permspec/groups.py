@@ -2,12 +2,12 @@
 
 Groups are immutable: an order x order multiplication table over element
 indices, with the identity at index 0.  At desk scale (|G| <= 128) the full
-table is cheap and makes quotients and conjugation trivial.
+table is cheap and makes quotients and conjugation trivial.  The table is held
+twice: as a numpy array for whole-table checks, and as Python rows for the
+scalar lookups of `mul`, `inv` and `conj`.
 """
 
-import itertools
 import json
-import random
 
 import numpy as np
 
@@ -36,9 +36,12 @@ class FiniteGroup:
             list(generator_witness) if generator_witness is not None else None
         )
         self._inv = None
+        self._conj = None
         self._digest = None
+        self._subgroups = None
         if check:
             self._validate()
+        self._rows = self.table.tolist()
 
     def _validate(self):
         n = self.order
@@ -50,35 +53,30 @@ class FiniteGroup:
         for i in range(n):
             if sorted(t[i]) != list(range(n)) or sorted(t[:, i]) != list(range(n)):
                 raise GroupError("table rows/columns must be permutations")
-        if n <= 64:
-            for a in range(n):
-                ta = t[a]
-                # (a*b)*c == a*(b*c) for all b, c, checked as whole rows
-                if not np.array_equal(t[ta][:, :], ta[t]):
-                    raise GroupError("associativity fails")
-        else:
-            rng = random.Random(0)
-            for _ in range(10000):
-                a, b, c = (rng.randrange(n) for _ in range(3))
-                if t[t[a, b], c] != t[a, t[b, c]]:
-                    raise GroupError("associativity fails")
+        for a in range(n):
+            ta = t[a]
+            # (a*b)*c == a*(b*c) for all b, c, checked as whole rows
+            if not np.array_equal(t[ta], ta[t]):
+                raise GroupError("associativity fails")
 
     # -- basic arithmetic ----------------------------------------------------
 
     def mul(self, a, b):
-        return int(self.table[a, b])
+        return self._rows[a][b]
 
     def inv(self, a):
         if self._inv is None:
-            inv = np.zeros(self.order, dtype=np.int64)
-            for x in range(self.order):
-                inv[x] = int(np.nonzero(self.table[x] == 0)[0][0])
-            self._inv = inv
-        return int(self._inv[a])
+            self._inv = [row.index(0) for row in self._rows]
+        return self._inv[a]
 
     def conj(self, a, g):
         """a^g = g^-1 a g."""
-        return self.mul(self.mul(self.inv(g), a), g)
+        if self._conj is None:
+            t = self.table
+            inv = np.array([self.inv(x) for x in range(self.order)])
+            # conj[g][a] = (g^-1 a) g
+            self._conj = t[t[inv], np.arange(self.order)[:, None]].tolist()
+        return self._conj[g][a]
 
     def power(self, a, k):
         r, x = 0, a
@@ -129,17 +127,7 @@ class FiniteGroup:
         return Subgroup(self, range(self.order))
 
     def generated_subgroup(self, gens):
-        elems = {0}
-        frontier = [0]
-        gens = [int(g) for g in gens]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.mul(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    frontier.append(y)
-        return Subgroup(self, elems)
+        return Subgroup(self, _join(self._rows, (0,), [int(g) for g in gens]))
 
     def digest(self):
         """The table's content: an exact cache key, equal iff the tables are."""
@@ -163,6 +151,24 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
+
+
+def _join(rows, S, gens):
+    """The subgroup generated by gens, as a set, given a subgroup S inside it.
+
+    It is grown as a union of cosets S*r from r = identity: whenever r times a
+    generator falls outside the union, the coset of the product is added.
+    """
+    elems = set(S)
+    reps = [0]
+    for r in reps:
+        row = rows[r]
+        for h in gens:
+            y = row[h]
+            if y not in elems:
+                elems.update([rows[s][y] for s in S])
+                reps.append(y)
+    return elems
 
 
 class Subgroup:
@@ -417,6 +423,8 @@ def group_from_spec(spec, cap=DEFAULT_ORDER_CAP):
     elif kind == "product":
         G = product(*[group_from_spec(f, cap=cap) for f in spec["factors"]])
     elif kind == "table":
+        if len(spec["table"]) > cap:
+            raise ResourceError(f"group order {len(spec['table'])} exceeds cap {cap}")
         G = FiniteGroup(spec["table"])
     elif kind == "perm":
         G = from_permutations(int(spec["degree"]), spec["generators"], cap=cap)
@@ -431,35 +439,45 @@ def group_from_spec(spec, cap=DEFAULT_ORDER_CAP):
 
 
 def subgroups(G, cap=DEFAULT_ORDER_CAP):
-    """All subgroups of G, by incremental closure of cyclic subgroups.
+    """All subgroups of G, sorted by (order, element tuple).
 
-    Deterministic: result sorted by (order, element tuple).
+    The lattice is computed once per group and kept on it; every call checks
+    the cap and returns a new list.
     """
     if G.order > cap:
         raise ResourceError(f"group order {G.order} exceeds cap {cap}")
-    found = {(0,)}
+    if G._subgroups is None:
+        G._subgroups = _lattice(G)
+    return list(G._subgroups)
+
+
+def _lattice(G):
+    """Every subgroup is a join of cyclic subgroups, so the lattice is closed
+    by joining each subgroup found in the last pass with each cyclic subgroup
+    it does not contain."""
+    rows = G._rows
+    cyclic = {}  # elements -> the least element generating them
     for a in range(G.order):
-        found.add(G.generated_subgroup([a]).elements)
-    while True:
-        new = set()
-        current = sorted(found)
-        for ea, eb in itertools.combinations(current, 2):
-            if set(ea) <= set(eb) or set(eb) <= set(ea):
-                continue
-            j = G.generated_subgroup(set(ea) | set(eb)).elements
-            if j not in found:
-                new.add(j)
-        if not new:
-            break
-        found |= new
-    return [
-        Subgroup(G, e, check=False) for e in sorted(found, key=lambda e: (len(e), e))
-    ]
+        cyclic.setdefault(frozenset(_join(rows, (0,), (a,))), a)
+    gens_of = {S: (a,) for S, a in cyclic.items()}  # subgroup -> generators
+    last = gens_of
+    while last:
+        new = {}
+        for S, gens in last.items():
+            for a in cyclic.values():
+                if a in S:
+                    continue
+                J = frozenset(_join(rows, S, gens + (a,)))
+                if J not in gens_of and J not in new:
+                    new[J] = gens + (a,)
+        gens_of.update(new)
+        last = new
+    found = sorted((tuple(sorted(S)) for S in gens_of), key=lambda e: (len(e), e))
+    return [Subgroup(G, e, check=False) for e in found]
 
 
-def p_subgroups(G, p, all_subs=None):
-    subs = all_subs if all_subs is not None else subgroups(G)
-    return [H for H in subs if H.is_p_group(p)]
+def p_subgroups(G, p):
+    return [H for H in subgroups(G) if H.is_p_group(p)]
 
 
 def index_p_normals(G, p):

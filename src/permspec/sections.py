@@ -146,8 +146,9 @@ class SectionCategory:
     def objects(self):
         if self._objects is None:
             out = []
-            for H in p_subgroups(self.G, self.p):
-                for K in p_subgroups(self.G, self.p):
+            subs = p_subgroups(self.G, self.p)
+            for H in subs:
+                for K in subs:
                     if not H.contains_subgroup(K):
                         continue
                     if not K.is_normal(H):

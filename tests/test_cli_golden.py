@@ -21,10 +21,14 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = {
     "sections_klein": ["sections", "--group", "klein"],
     "sections_d8": ["sections", "--group", "dihedral:8"],
+    "sections_d16": ["sections", "--group", "dihedral:16"],
+    "sections_c2_4": ["sections", "--group", "ea:2:4"],
     "maxel_klein": ["maxel", "--group", "klein"],
     "maxel_d8": ["maxel", "--group", "dihedral:8"],
+    "maxel_d16": ["maxel", "--group", "dihedral:16"],
     "relations_klein": ["relations", "--group", "klein"],
     "relations_d8": ["relations", "--group", "dihedral:8"],
+    "relations_d16": ["relations", "--group", "dihedral:16"],
     "ring_klein": ["ring", "--group", "klein"],
     "ring_d8": ["ring", "--group", "dihedral:8"],
     "skeleton_klein_dot": ["skeleton", "--group", "klein", "--format", "dot"],

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,3 +206,125 @@ def test_digest_is_exact():
             assert (G.digest() == H.digest()) == same
             if same:
                 assert hash(G) == hash(H)
+
+
+def _reference_subgroups(G):
+    """The pairwise-join lattice, kept as the reference for `subgroups`:
+    every pass joins all pairs of subgroups found so far, by closure under
+    right multiplication from the identity."""
+
+    def generated(gens):
+        elems, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = G.mul(x, g)
+                if y not in elems:
+                    elems.add(y)
+                    frontier.append(y)
+        return tuple(sorted(elems))
+
+    found = {generated([a]) for a in range(G.order)}
+    while True:
+        new = set()
+        for ea, eb in itertools.combinations(sorted(found), 2):
+            if set(ea) <= set(eb) or set(eb) <= set(ea):
+                continue
+            j = generated(set(ea) | set(eb))
+            if j not in found:
+                new.add(j)
+        if not new:
+            break
+        found |= new
+    return sorted(found, key=lambda e: (len(e), e))
+
+
+def _shuffled(G, seed):
+    perm = [0] + random.Random(seed).sample(range(1, G.order), G.order - 1)
+    return _relabel(G, perm)
+
+
+LATTICE_GROUPS = POOL + [
+    ("D16", dihedral(16)),
+    ("C2^4", elementary_abelian(2, 4)),
+    ("C4xC4", product(cyclic(4), cyclic(4))),
+    ("D8xC2", product(dihedral(8), cyclic(2))),
+    ("C3xC9", product(cyclic(3), cyclic(9))),
+    ("D16 relabelled", _shuffled(dihedral(16), 1)),
+    ("C2xC8 relabelled", _shuffled(product(cyclic(2), cyclic(8)), 2)),
+]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in LATTICE_GROUPS])
+def test_lattice_matches_pairwise_reference(name):
+    G = dict(LATTICE_GROUPS)[name]
+    assert [S.elements for S in subgroups(G)] == _reference_subgroups(G)
+
+
+def test_lattice_counts():
+    assert len(subgroups(elementary_abelian(2, 5))) == 374
+    assert len(subgroups(dihedral(32))) == 36
+    assert len(subgroups(product(cyclic(4), cyclic(4), cyclic(2)))) == 54
+
+
+def test_lattice_is_memoised_per_group():
+    G = dihedral(16)
+    first, second = subgroups(G), subgroups(G)
+    assert first == second and first is not second
+    assert all(x is y for x, y in zip(first, second))  # one lattice, built once
+    first.clear()
+    second.append(G.full_subgroup())
+    assert [S.elements for S in subgroups(G)] == _reference_subgroups(G)
+    with pytest.raises(ResourceError):
+        subgroups(G, cap=G.order - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(LATTICE_GROUPS),
+    st.integers(0, 63),
+    st.integers(0, 63),
+    st.booleans(),
+)
+def test_scalar_arithmetic_matches_the_table(named, a, b, as_numpy):
+    _, G = named
+    t = G.table
+    a, b = a % G.order, b % G.order
+    inv_b = int(np.nonzero(t[b] == 0)[0][0])
+    expect = (int(t[a, b]), inv_b, int(t[t[inv_b, a], b]))
+    if as_numpy:
+        a, b = np.int64(a), np.int64(b)
+    got = (G.mul(a, b), G.inv(b), G.conj(a, b))
+    assert got == expect
+    assert all(type(x) is int for x in got)
+
+
+def _c2_7_with_swapped_intercalate():
+    """C2^7 (x*y = x xor y) with the 2x2 Latin subsquare on rows 1, 7 and
+    columns 2, 4 swapped: still a loop with identity 0, not a group."""
+    t = elementary_abelian(2, 7).table.copy()
+    t[1, 2], t[1, 4], t[7, 2], t[7, 4] = t[1, 4], t[1, 2], t[7, 4], t[7, 2]
+    return t
+
+
+def test_associativity_is_exact_at_order_128():
+    G = elementary_abelian(2, 7)
+    assert FiniteGroup(G.table).order == 128
+    t = _c2_7_with_swapped_intercalate()
+    n = len(t)
+    assert sorted(t[1]) == list(range(n)) and sorted(t[:, 2]) == list(range(n))
+    bad = t[t] != t[np.arange(n)[:, None, None], t[None]]
+    assert bad.sum() == 2000
+    with pytest.raises(GroupError, match="associativity"):
+        FiniteGroup(t)
+    with pytest.raises(GroupError, match="associativity"):
+        group_from_spec({"kind": "table", "table": t.tolist()})
+
+
+def test_table_spec_over_the_cap_is_refused_before_validation():
+    # not a group table at all: the cap is checked first
+    spec = {"kind": "table", "table": [[0, 1, 2, 3]] * 4}
+    with pytest.raises(GroupError):
+        group_from_spec(spec)
+    with pytest.raises(ResourceError):
+        group_from_spec(spec, cap=3)
