@@ -40,6 +40,7 @@ class GSet:
             raise ComplexError("action table must be |G| x n")
         assert np.array_equal(self.action[0], np.arange(self.size)), \
             "identity must act trivially"
+        self._label = None
 
     @property
     def size(self):
@@ -55,16 +56,28 @@ class GSet:
         act = np.concatenate([self.action, other.action + self.size], axis=1)
         return GSet(self.group, act)
 
+    def orbit_label(self):
+        """Each point's least orbit-mate; equal labels mark one G-orbit."""
+        if self._label is None:
+            self._label = self.action.min(axis=0)
+        return self._label
+
+    def orbit_order(self):
+        """(points sorted by orbit, where each orbit starts in that order).
+
+        Orbits come in the order of their least points, and each lists its
+        points in ascending order."""
+        label = self.orbit_label()
+        order = np.argsort(label, kind="stable")
+        _, starts = np.unique(label[order], return_index=True)
+        return order, starts
+
     def orbits(self):
-        seen = np.zeros(self.size, dtype=bool)
-        out = []
-        for x in range(self.size):
-            if seen[x]:
-                continue
-            orb = np.unique(self.action[:, x])
-            seen[orb] = True
-            out.append(orb)
-        return out
+        """The G-orbits as ascending point arrays, ordered by least point."""
+        if not self.size:
+            return []
+        order, starts = self.orbit_order()
+        return np.split(order, starts[1:])
 
     def fixed_points(self, H):
         return [
@@ -468,7 +481,10 @@ def is_null_homotopic(f):
     """Decide f = d h + (-1)^s h d; returns (bool, witness or None).
 
     The witness maps degree n to the matrix of h_n: C_n -> D_{n-s+1}, with an
-    equivariant orbit-coefficient ansatz solved exactly over F_p.
+    equivariant orbit-coefficient ansatz solved exactly over F_p.  Both sides
+    of the equation in degree n are constant on the G-orbits of (target,
+    source) basis pairs, so one equation per orbit decides it; f's components
+    are first checked to be constant there (ComplexError otherwise).
     """
     C, D, p, s = f.source, f.target, f.source.p, f.shift
     sign = 1 if s % 2 == 0 else p - 1
@@ -480,19 +496,25 @@ def is_null_homotopic(f):
     rows = []
     rhs = []
     for n in C.degrees():
-        shape = (D.dim(n - s), C.dim(n))
-        if shape[0] == 0 and shape[1] == 0:
+        if not (D.dim(n - s) and C.dim(n)):
             continue
-        coeff = np.zeros((len(unknowns), shape[0] * shape[1]), dtype=np.int64)
+        # index (y, x) of the pair G-set is y*|C_n| + x, the flat matrix index
+        label = D.gsets[n - s].tensor(C.gsets[n]).orbit_label()
+        fn = f.comp(n).reshape(-1)
+        if not np.array_equal(fn, fn[label]):
+            raise ComplexError(f"component not equivariant at {n}")
+        reps = np.unique(label)
+        coeff = np.zeros((len(reps), len(unknowns)), dtype=np.int64)
         for k, (m_deg, M) in enumerate(unknowns):
-            contrib = np.zeros(shape, dtype=np.int64)
             if m_deg == n:
-                contrib += modp.matmul(D.diff(n - s + 1), M, p)
-            if m_deg == n - 1:
-                contrib += sign * modp.matmul(M, C.diff(n), p)
-            coeff[k] = (contrib % p).reshape(-1)
-        rows.append(coeff.T)
-        rhs.append(f.comp(n).reshape(-1))
+                contrib = modp.matmul(D.diff(n - s + 1), M, p)
+            elif m_deg == n - 1:
+                contrib = sign * modp.matmul(M, C.diff(n), p)
+            else:
+                continue
+            coeff[:, k] = contrib.reshape(-1)[reps] % p
+        rows.append(coeff)
+        rhs.append(fn[reps])
     if not rows:
         return True, {}
     A = np.concatenate(rows, axis=0)
@@ -533,43 +555,45 @@ def is_contractible(C):
     return ok
 
 
+_HOM_CACHE = {}  # (group digest, p, sorted pi tuples) -> (orbit counts, ranks)
+
+
 def hom_dim(G, p, coords, s):
     """dim Hom_{K(G)}(1, u_{pi_1} (x) ... (x) u_{pi_k} [s]).
 
     coords is a list of pi arrays (repetitions allowed, empty for the unit).
-    Equals invariant cycles in total degree -s modulo boundaries of invariants:
-    maps from the unit are exactly invariant vectors.
+    Maps from the unit are exactly invariant vectors, so this is the homology
+    of the invariant subcomplex T^G of the tensor product T in degree -s.
+    The orbit sums are a basis of T^G, and an invariant vector is fixed by
+    its values at the orbit representatives, so d on T^G has one row per
+    orbit of T_{n-1} and one column per orbit of T_n (the sum of d's columns
+    over it).  The orbit count and the rank in every degree are computed
+    once per group, p and multiset of twists, which the tensor product
+    depends on only up to isomorphism.
     """
-    T = unit_complex(G, p)
-    for pi in coords:
-        T = T.tensor(build_u(G, p, pi))
+    pis = tuple(sorted(tuple(int(v) % p for v in pi) for pi in coords))
+    key = (G.digest(), p, pis)
+    profile = _HOM_CACHE.get(key)
+    if profile is None:
+        profile = _HOM_CACHE[key] = _invariant_profile(G, p, pis)
+    orbits, ranks = profile
     n = -s
-    inv_n = _invariant_vectors(T, n)
-    inv_up = _invariant_vectors(T, n + 1)
-    if inv_n.shape[0] == 0:
-        return 0
-    d_n = T.diff(n)
-    cycles = inv_n.shape[0] - modp.rank(
-        modp.matmul(d_n, inv_n.T, p), p
-    )
-    boundaries = 0
-    if inv_up.shape[0]:
-        boundaries = modp.rank(
-            modp.matmul(T.diff(n + 1), inv_up.T, p), p
-        )
-    return cycles - boundaries
+    return orbits.get(n, 0) - ranks.get(n, 0) - ranks.get(n + 1, 0)
 
 
-def _invariant_vectors(C, n):
-    gs = C.gsets.get(n)
-    if gs is None:
-        return np.zeros((0, 0), dtype=np.int64)
-    rows = []
-    for orb in gs.orbits():
-        v = np.zeros(gs.size, dtype=np.int64)
-        v[orb] = 1
-        rows.append(v)
-    return np.array(rows, dtype=np.int64)
+def _invariant_profile(G, p, pis):
+    """({n: orbit count of T_n}, {n: rank of d_n on T^G}) for T = (x) u_pi."""
+    T = unit_complex(G, p)
+    for pi in pis:
+        T = T.tensor(build_u(G, p, pi))
+    orbits = {n: len(np.unique(gs.orbit_label())) for n, gs in T.gsets.items()}
+    ranks = {}
+    for n, d in T.diffs.items():
+        reps = np.unique(T.gsets[n - 1].orbit_label())
+        order, starts = T.gsets[n].orbit_order()
+        sums = np.add.reduceat(d[reps][:, order], starts, axis=1) % p
+        ranks[n] = modp.rank(sums, p)
+    return orbits, ranks
 
 
 # -- functors: fixed points, restriction, inflation ----------------------------------

@@ -405,34 +405,74 @@ def from_permutations(degree, generators, cap=DEFAULT_ORDER_CAP):
 
 
 def group_from_spec(spec, cap=DEFAULT_ORDER_CAP):
-    """Build a group from a JSON-style spec dict (or JSON string)."""
+    """Build a group from a JSON-style spec dict (or JSON string).
+
+    A spec of the wrong shape (not an object, a missing or non-integer
+    field, a table that is not a square list of integer rows, generators
+    that are not lists of cycles of points) raises GroupError."""
     if isinstance(spec, str):
         try:
             spec = json.loads(spec)
         except json.JSONDecodeError as e:
             raise GroupError(f"bad group spec JSON at position {e.pos}: {e.msg}")
+    if not isinstance(spec, dict):
+        raise GroupError(f"group spec must be an object, not {spec!r}")
     kind = spec.get("kind")
     if kind == "cyclic":
-        G = cyclic(int(spec["n"]))
+        G = cyclic(_spec_int(spec, "n"))
     elif kind == "dihedral":
-        G = dihedral(int(spec["order"]))
+        G = dihedral(_spec_int(spec, "order"))
     elif kind == "quaternion":
         G = quaternion()
     elif kind == "elementary_abelian":
-        G = elementary_abelian(int(spec["p"]), int(spec["rank"]))
+        G = elementary_abelian(_spec_int(spec, "p"), _spec_int(spec, "rank"))
     elif kind == "product":
-        G = product(*[group_from_spec(f, cap=cap) for f in spec["factors"]])
+        factors = _spec_field(spec, "factors")
+        if not isinstance(factors, list) or not factors:
+            raise GroupError("'factors' must be a nonempty list of group specs")
+        G = product(*[group_from_spec(f, cap=cap) for f in factors])
     elif kind == "table":
-        if len(spec["table"]) > cap:
-            raise ResourceError(f"group order {len(spec['table'])} exceeds cap {cap}")
-        G = FiniteGroup(spec["table"])
+        table = _spec_field(spec, "table")
+        if not (_int_lists(table, 2) and all(len(row) == len(table) for row in table)):
+            raise GroupError("'table' must be a square list of integer rows")
+        if len(table) > cap:
+            raise ResourceError(f"group order {len(table)} exceeds cap {cap}")
+        G = FiniteGroup(table)
     elif kind == "perm":
-        G = from_permutations(int(spec["degree"]), spec["generators"], cap=cap)
+        degree = _spec_int(spec, "degree")
+        gens = _spec_field(spec, "generators")
+        if not (
+            _int_lists(gens, 3)
+            and all(0 <= x < degree for g in gens for c in g for x in c)
+        ):
+            raise GroupError(f"'generators' must be lists of cycles in 0..{degree - 1}")
+        G = from_permutations(degree, gens, cap=cap)
     else:
         raise GroupError(f"unknown group kind {kind!r}")
     if G.order > cap:
         raise ResourceError(f"group order {G.order} exceeds cap {cap}")
     return G
+
+
+def _int_lists(value, depth):
+    """Whether value is a list nested depth deep with integer leaves."""
+    if depth == 0:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_int_lists(v, depth - 1) for v in value)
+
+
+def _spec_field(spec, name):
+    if name not in spec:
+        raise GroupError(f"group spec of kind {spec['kind']!r} needs {name!r}")
+    return spec[name]
+
+
+def _spec_int(spec, name):
+    value = _spec_field(spec, name)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise GroupError(f"{name!r} must be an integer, not {value!r}")
 
 
 # -- lattice operations --------------------------------------------------------

@@ -1,8 +1,12 @@
 """Dense exact linear algebra over the prime field F_p.
 
-Matrices are numpy int64 arrays with entries reduced mod p.  Everything here
-is plain Gaussian elimination; dimensions stay small (a few thousand at most)
-so no sparsity or pivoting cleverness is attempted.
+Matrices are numpy int64 arrays with entries reduced mod p.  Elimination is
+Gauss-Jordan with the first nonzero entry of each column as pivot, so the
+reduced row echelon form it returns is the unique one; each pivot clears its
+column in all other rows with one numpy outer-product step.  Entries stay
+below p before every product, so int64 cannot overflow for any prime whose
+square fits in it.  Dimensions stay small (a few thousand at most), so the
+matrices are dense.
 """
 
 import numpy as np
@@ -35,9 +39,13 @@ def rref(A, p):
         if i != r:
             R[[r, i]] = R[[i, r]]
         R[r] = (R[r] * inv_mod(R[r, c], p)) % p
-        for j in range(nrows):
-            if j != r and R[j, c]:
-                R[j] = (R[j] - R[j, c] * R[r]) % p
+        # the pivot row is zero left of c, so only columns c.. change
+        others = np.flatnonzero(R[:, c])
+        others = others[others != r]
+        if others.size:
+            R[others, c:] = (
+                R[others, c:] - np.outer(R[others, c], R[r, c:])
+            ) % p
         pivots.append(c)
         r += 1
     return R, pivots, r
@@ -53,13 +61,12 @@ def nullspace(A, p):
     """Basis (rows) of the right kernel of A mod p."""
     A = np.array(A, dtype=np.int64) % p
     nrows, ncols = A.shape
-    R, pivots, _ = rref(A, p)
-    free = [c for c in range(ncols) if c not in pivots]
+    R, pivots, r = rref(A, p)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, c in enumerate(pivots):
-            basis[k, c] = (-R[i, f]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[:r, free].T) % p
     return basis
 
 

@@ -115,6 +115,22 @@ def test_parse_errors(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("spec, names", [
+    ('{"kind":"table","table":5}', "table"),
+    ('{"kind":"table"}', "table"),
+    ('{"kind":"cyclic","n":"x"}', "'n'"),
+    ('{"kind":"table","table":[[0,1],[1]]}', "table"),
+    ('{"kind":"table","table":[[0,1],[1,null]]}', "table"),
+    ('{"kind":"product","factors":{"kind":"klein"}}', "factors"),
+    ('{"kind":"perm","degree":3,"generators":[[[0,3]]]}', "generators"),
+    ('{"kind":"product","factors":[{"kind":"cyclic","n":2},5]}', "object"),
+])
+def test_malformed_json_group_spec_exits_2(capsys, spec, names):
+    code, out, err = run(capsys, "sections", "--group", spec)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and names in err
+
+
 def test_resource_limit(capsys):
     code, _, err = run(capsys, "skeleton", "--group", "cyclic:16",
                        "--cap-order", "8")

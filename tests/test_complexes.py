@@ -3,9 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from permspec.groups import cyclic, elementary_abelian
+from permspec import complexes, modp
+from permspec.groups import FiniteGroup, cyclic, elementary_abelian
 from permspec.complexes import (
     ComplexError,
+    EquivariantChainMap,
+    GSet,
     PermComplex,
     build_u,
     coevaluation,
@@ -169,3 +172,232 @@ def test_hom_dim_klein_mixed():
     assert hom_dim(E, p, pis, -1) == 2
     assert hom_dim(E, p, pis, -2) == 1
     assert hom_dim(E, p, pis, -3) == 0
+
+
+# -- the dense oracle, kept as the reference for orbit coordinates -------------------
+
+
+def _reference_orbits(gs):
+    seen = np.zeros(gs.size, dtype=bool)
+    out = []
+    for x in range(gs.size):
+        if seen[x]:
+            continue
+        orb = np.unique(gs.action[:, x])
+        seen[orb] = True
+        out.append(orb)
+    return out
+
+
+def _reference_invariant_vectors(C, n):
+    gs = C.gsets.get(n)
+    if gs is None:
+        return np.zeros((0, 0), dtype=np.int64)
+    rows = []
+    for orb in _reference_orbits(gs):
+        v = np.zeros(gs.size, dtype=np.int64)
+        v[orb] = 1
+        rows.append(v)
+    return np.array(rows, dtype=np.int64)
+
+
+def _reference_hom_dim(G, p, coords, s):
+    """Invariant cycles modulo boundaries of invariants, from dense products
+    of the full tensor complex, built in the given order."""
+    T = unit_complex(G, p)
+    for pi in coords:
+        T = T.tensor(build_u(G, p, pi))
+    n = -s
+    inv_n = _reference_invariant_vectors(T, n)
+    inv_up = _reference_invariant_vectors(T, n + 1)
+    if inv_n.shape[0] == 0:
+        return 0
+    cycles = inv_n.shape[0] - modp.rank(modp.matmul(T.diff(n), inv_n.T, p), p)
+    boundaries = 0
+    if inv_up.shape[0]:
+        boundaries = modp.rank(modp.matmul(T.diff(n + 1), inv_up.T, p), p)
+    return cycles - boundaries
+
+
+def _reference_map_basis(src_gset, tgt_gset):
+    ny = tgt_gset.size
+    out = []
+    for orb in _reference_orbits(src_gset.tensor(tgt_gset)):
+        M = np.zeros((ny, src_gset.size), dtype=np.int64)
+        for z in orb:
+            x, y = divmod(int(z), ny)
+            M[y, x] = 1
+        out.append(M)
+    return out
+
+
+def _reference_is_null_homotopic(f):
+    """One equation per entry of every component, orbit-mates included."""
+    C, D, p, s = f.source, f.target, f.source.p, f.shift
+    sign = 1 if s % 2 == 0 else p - 1
+    unknowns = []
+    for n in C.degrees():
+        if C.dim(n) and D.dim(n - s + 1):
+            for M in _reference_map_basis(C.gsets[n], D.gsets[n - s + 1]):
+                unknowns.append((n, M))
+    rows, rhs = [], []
+    for n in C.degrees():
+        shape = (D.dim(n - s), C.dim(n))
+        if shape[0] == 0 and shape[1] == 0:
+            continue
+        coeff = np.zeros((len(unknowns), shape[0] * shape[1]), dtype=np.int64)
+        for k, (m_deg, M) in enumerate(unknowns):
+            contrib = np.zeros(shape, dtype=np.int64)
+            if m_deg == n:
+                contrib += modp.matmul(D.diff(n - s + 1), M, p)
+            if m_deg == n - 1:
+                contrib += sign * modp.matmul(M, C.diff(n), p)
+            coeff[k] = (contrib % p).reshape(-1)
+        rows.append(coeff.T)
+        rhs.append(f.comp(n).reshape(-1))
+    if not rows:
+        return True, {}
+    x = modp.solve(np.concatenate(rows, axis=0), np.concatenate(rhs), p)
+    if x is None:
+        return False, None
+    witness = {}
+    for k, (n, M) in enumerate(unknowns):
+        if x[k]:
+            witness[n] = (witness.get(n, 0) + int(x[k]) * M) % p
+    return True, witness
+
+
+def _relabelled(G, perm):
+    """The table of G with element a renamed perm[a] (perm fixes 0)."""
+    inv = np.argsort(perm)
+    t = np.asarray(G.table)
+    return FiniteGroup([[int(perm[t[inv[a], inv[b]]]) for b in range(G.order)]
+                        for a in range(G.order)])
+
+
+def _twists(ncoords, max_total):
+    for total in range(max_total + 1):
+        for twist in itertools.product(range(total + 1), repeat=ncoords):
+            if sum(twist) == total:
+                yield twist
+
+
+def test_orbits_match_reference():
+    E, p = elementary_abelian(3, 2), 3
+    (_, u), (_, v) = _all_units(E, p)[:2]
+    gsets = list(u.tensor(v).gsets.values()) + list(cone(coevaluation(u)).gsets.values())
+    gsets.append(complexes.empty_gset(E))
+    for gs in gsets:
+        got, ref = gs.orbits(), _reference_orbits(gs)
+        assert len(got) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("group, p, max_total, shifts", [
+    ("C2", 2, 5, range(-8, 9)),
+    ("C3", 3, 3, range(-8, 3)),
+    ("Klein", 2, 3, range(-5, 6)),
+    ("C3xC3", 3, 2, range(-6, 3)),
+])
+def test_hom_dim_matches_dense_reference(group, p, max_total, shifts):
+    E = {"C2": cyclic(2), "C3": cyclic(3), "Klein": elementary_abelian(2, 2),
+         "C3xC3": elementary_abelian(3, 2)}[group]
+    ea = EAStructure(E, p)
+    pis = [_pi(ea, c) for c in coordinates(ea)]
+    for twist in _twists(len(pis), max_total):
+        coords = [pi for pi, m in zip(pis, twist) for _ in range(m)]
+        for s in shifts:
+            assert hom_dim(E, p, coords, s) == _reference_hom_dim(E, p, coords, s), \
+                (group, twist, s)
+
+
+def test_hom_dim_memo_permuted_coordinates():
+    E, p = elementary_abelian(2, 2), 2
+    ea = EAStructure(E, p)
+    a, b, c = [_pi(ea, x) for x in coordinates(ea)]
+    complexes._HOM_CACHE.clear()
+    orders = [[a, b, b, c], [b, c, a, b], [c, b, b, a]]
+    for s in range(-5, 2):
+        values = {hom_dim(E, p, coords, s) for coords in orders}
+        assert values == {_reference_hom_dim(E, p, orders[1], s)}
+    assert len(complexes._HOM_CACHE) == 1
+
+
+def test_hom_dim_memo_keys_are_exact():
+    # every relabelling of the Klein four-group fixing 0 is an automorphism,
+    # so it gives the same table and shares the entry; relabelling C4 by
+    # swapping 1 and 2 gives another table and another entry
+    K = elementary_abelian(2, 2)
+    K2 = _relabelled(K, [0, 3, 1, 2])
+    C4 = cyclic(4)
+    C4b = _relabelled(C4, [0, 2, 1, 3])
+    assert K2.digest() == K.digest() and C4b.digest() != C4.digest()
+    ea = EAStructure(K, 2)
+    klein_pis = [tuple(_pi(ea, c)) for c in coordinates(ea)[:2]]
+    complexes._HOM_CACHE.clear()
+    keys = set()
+    for G, pis in ((K, klein_pis), (K2, klein_pis),
+                   (C4, [(0, 1, 0, 1)] * 2), (C4b, [(0, 0, 1, 1)] * 2)):
+        want = [_reference_hom_dim(G, 2, pis, s) for s in range(-4, 2)]
+        assert [hom_dim(G, 2, pis, s) for s in range(-4, 2)] == want
+        keys.add((G.digest(), 2, tuple(sorted(pis))))
+    C6 = cyclic(6)
+    for p in (2, 3):
+        pi = tuple(x % p for x in range(6))
+        assert hom_dim(C6, p, [], 0) == 1
+        assert hom_dim(C6, p, [pi], -1) == _reference_hom_dim(C6, p, [pi], -1)
+        keys |= {(C6.digest(), p, ()), (C6.digest(), p, (pi,))}
+    assert set(complexes._HOM_CACHE) == keys and len(keys) == 7
+
+
+def test_hom_dim_memo_clear(monkeypatch):
+    E, p = cyclic(2), 2
+    pi = [0, 1]
+    built = []
+    profile = complexes._invariant_profile
+    monkeypatch.setattr(complexes, "_invariant_profile",
+                        lambda *args: built.append(args) or profile(*args))
+    complexes._HOM_CACHE.clear()
+    assert [hom_dim(E, p, [pi, pi], s) for s in (0, -1, -2, -3)] == [1, 1, 1, 0]
+    assert len(built) == 1 and len(complexes._HOM_CACHE) == 1
+    complexes._HOM_CACHE.clear()
+    assert len(complexes._HOM_CACHE) == 0
+    assert hom_dim(E, p, [pi, pi], -1) == 1
+    assert len(built) == 2
+
+
+def test_is_null_homotopic_rejects_non_equivariant_component():
+    # 1 -> k[C2] picking out one point is not equivariant.  Its one
+    # representative equation (at the pair (0, 0)) reads 0 = 0, so without
+    # the check the reduced system would call it null-homotopic, while the
+    # full system is inconsistent.
+    E, p = cyclic(2), 2
+    regular = GSet(E, [[0, 1], [1, 0]])
+    D = PermComplex(E, p, {0: regular}, {})
+    f = EquivariantChainMap(unit_complex(E, p), D, 0,
+                            {0: np.array([[0], [1]])}, check=False)
+    assert _reference_is_null_homotopic(f) == (False, None)
+    with pytest.raises(ComplexError):
+        is_null_homotopic(f)
+
+
+def test_null_homotopy_witness_matches_full_rows():
+    cases = []
+    for E, p in ((cyclic(2), 2), (cyclic(3), 3), (elementary_abelian(2, 2), 2),
+                 (elementary_abelian(3, 2), 3)):
+        cases += [identity_map(cone(coevaluation(u))) for _, u in _all_units(E, p)]
+    assert len(cases) == 9
+    for p in (2, 3):
+        (_, u), = _all_units(cyclic(p), p)
+        cases.append(identity_map(cone(map_a(u)).tensor(cone(map_b(u)))))
+        cases.append(identity_map(u))
+    for f in cases:
+        ok, w = is_null_homotopic(f)
+        ok0, w0 = _reference_is_null_homotopic(f)
+        assert ok == ok0
+        if ok:
+            assert sorted(w) == sorted(w0)
+            assert all(np.array_equal(w[n], w0[n]) for n in w)
+            assert verify_homotopy(f, w)
+        else:
+            assert w is None and w0 is None

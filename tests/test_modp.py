@@ -70,3 +70,83 @@ def test_matmul_matches_numpy():
         A = rng.integers(0, p, size=(4, 3))
         B = rng.integers(0, p, size=(3, 5))
         assert np.array_equal(modp.matmul(A, B, p), (A @ B) % p)
+
+
+# -- the row-loop elimination, kept as the reference for the vectorised one ----------
+
+
+def _reference_rref(A, p):
+    R = np.array(A, dtype=np.int64) % p
+    nrows, ncols = R.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        i = r + nz[0]
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r] = (R[r] * modp.inv_mod(R[r, c], p)) % p
+        for j in range(nrows):
+            if j != r and R[j, c]:
+                R[j] = (R[j] - R[j, c] * R[r]) % p
+        pivots.append(c)
+        r += 1
+    return R, pivots, r
+
+
+def _reference_nullspace(A, p):
+    A = np.array(A, dtype=np.int64) % p
+    ncols = A.shape[1]
+    R, pivots, _ = _reference_rref(A, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        for i, c in enumerate(pivots):
+            basis[k, c] = (-R[i, f]) % p
+    return basis
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Matrices over F2, F3 and F5: empty, tall and wide, with low rank often
+    (rows repeated as sums of earlier rows)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nrows = draw(st.integers(0, 9))
+    ncols = draw(st.integers(0, 9))
+    A = np.array(
+        draw(st.lists(st.integers(0, 4 * p), min_size=nrows * ncols,
+                      max_size=nrows * ncols)),
+        dtype=np.int64,
+    ).reshape(nrows, ncols)
+    for i in range(2, nrows):
+        if draw(st.booleans()):
+            A[i] = A[i - 1] + draw(st.integers(1, p - 1)) * A[i - 2]
+    return p, A
+
+
+@settings(max_examples=400, deadline=None)
+@given(shaped_matrices())
+def test_rref_matches_row_loop_reference(pa):
+    p, A = pa
+    R, pivots, r = modp.rref(A, p)
+    R0, pivots0, r0 = _reference_rref(A, p)
+    assert np.array_equal(R, R0)
+    assert pivots == pivots0 and r == r0
+    assert np.array_equal(modp.nullspace(A, p), _reference_nullspace(A, p))
+
+
+def test_rref_matches_reference_on_fixed_shapes():
+    # 0 x 0, no rows, no columns, tall and wide
+    for p, A in [(2, np.zeros((0, 0), dtype=np.int64)),
+                 (3, np.zeros((0, 4), dtype=np.int64)),
+                 (5, np.zeros((4, 0), dtype=np.int64)),
+                 (3, np.arange(24).reshape(8, 3)),
+                 (5, np.arange(24).reshape(3, 8))]:
+        R, pivots, r = modp.rref(A, p)
+        R0, pivots0, r0 = _reference_rref(A, p)
+        assert np.array_equal(R, R0) and pivots == pivots0 and r == r0
