@@ -5,7 +5,9 @@ ea:p:r, klein, or a JSON group spec); subgroups by the keywords trivial/full
 or a comma-separated list of element names.  Output ordering is deterministic
 so repeated runs are byte-identical.
 
-Exit codes: 0 ok, 2 parse error, 3 resource limit, 4 verification failure.
+Exit codes: 0 ok, 2 parse error, 3 resource limit, 4 verification failure
+(a failed verify suite, or a rational-level glue that transports a point
+outside the named points; --level strata glues such groups).
 """
 
 import argparse
@@ -15,16 +17,13 @@ import sys
 from .groups import (
     GroupError,
     ResourceError,
-    cyclic,
-    dihedral,
-    elementary_abelian,
     group_from_spec,
-    quaternion,
     DEFAULT_ORDER_CAP,
 )
 from .sections import SectionCategory
 from .spectra import (
     DEFAULT_RANK_CAP,
+    GlueError,
     components,
     dimension,
     fold,
@@ -45,35 +44,31 @@ class CliParseError(ValueError):
     pass
 
 
+# shorthand -> (its JSON spec, the fields its colon-separated parameters fill)
+_SHORTHANDS = {
+    "cyclic": ({"kind": "cyclic"}, ["n"]),
+    "dihedral": ({"kind": "dihedral"}, ["order"]),
+    "quaternion": ({"kind": "quaternion"}, []),
+    "ea": ({"kind": "elementary_abelian"}, ["p", "rank"]),
+    "elementary_abelian": ({"kind": "elementary_abelian"}, ["p", "rank"]),
+    "klein": ({"kind": "elementary_abelian", "p": 2, "rank": 2}, []),
+}
+
+
 def parse_group(text, cap=DEFAULT_ORDER_CAP):
     if text is None:
         raise CliParseError("missing --group")
     text = text.strip()
     if text.startswith("{"):
         return group_from_spec(text, cap=cap)
-    parts = text.split(":")
-    kind = parts[0].lower()
-    try:
-        if kind == "cyclic" and len(parts) == 2:
-            G = cyclic(int(parts[1]))
-        elif kind == "dihedral" and len(parts) == 2:
-            G = dihedral(int(parts[1]))
-        elif kind == "quaternion" and len(parts) == 1:
-            G = quaternion()
-        elif kind in ("ea", "elementary_abelian") and len(parts) == 3:
-            G = elementary_abelian(int(parts[1]), int(parts[2]))
-        elif kind == "klein" and len(parts) == 1:
-            G = elementary_abelian(2, 2)
-        else:
-            raise CliParseError(
-                f"cannot parse group spec {text!r} "
-                "(try cyclic:n, dihedral:order, quaternion, ea:p:r, klein, or JSON)"
-            )
-    except ValueError as e:
-        raise CliParseError(f"bad group spec {text!r}: {e}")
-    if G.order > cap:
-        raise ResourceError(f"group order {G.order} exceeds cap {cap}")
-    return G
+    kind, *params = text.split(":")
+    spec, fields = _SHORTHANDS.get(kind.lower(), (None, ()))
+    if spec is None or len(params) != len(fields):
+        raise CliParseError(
+            f"cannot parse group spec {text!r} "
+            "(try cyclic:n, dihedral:order, quaternion, ea:p:r, klein, or JSON)"
+        )
+    return group_from_spec({**spec, **dict(zip(fields, params))}, cap=cap)
 
 
 def parse_subgroup(G, text):
@@ -255,6 +250,10 @@ def main(argv=None):
     except ResourceError as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
+    except GlueError as e:
+        print(f"error: {e}; the rational skeleton does not name every "
+              "transported point here, try --level strata", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

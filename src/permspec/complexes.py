@@ -604,7 +604,6 @@ def psi_complex(C, H):
     G = C.group
     N = G.subgroup(list(H.elements))
     Q, proj = quotient(G, N)
-    pm = np.asarray(proj.map)
     gsets, diffs, keep = {}, {}, {}
     for n, gs in C.gsets.items():
         fixed = gs.fixed_points(N)
@@ -612,9 +611,8 @@ def psi_complex(C, H):
         if not fixed:
             continue
         act = np.zeros((Q.order, len(fixed)), dtype=np.int64)
-        reps = [int(np.nonzero(pm == q)[0][0]) for q in range(Q.order)]
         reindex = {x: i for i, x in enumerate(fixed)}
-        for q, g in enumerate(reps):
+        for q, g in enumerate(proj.reps):
             act[q] = [reindex[int(gs.action[g, x])] for x in fixed]
         gsets[n] = GSet(Q, act)
     for n, d in C.diffs.items():

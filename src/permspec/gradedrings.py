@@ -540,16 +540,14 @@ def saturate(I, f):
 class GradedRingHom:
     """Ring homomorphism between presentations, one image per source variable.
 
-    gamma maps source shift degrees to target shift degrees (default:
-    identity).  Construction verifies that relations die and that images are
-    homogeneous of the expected degree.
+    Construction verifies that relations die and that images are homogeneous
+    of the degree of their source variable.
     """
 
-    def __init__(self, source, target, images, gamma=None, check=True):
+    def __init__(self, source, target, images, check=True):
         self.source = source
         self.target = target
         self.images = [target.poly(im) for im in images]
-        self.gamma = gamma if gamma is not None else (lambda d: d)
         if len(self.images) != source.nvars:
             raise RingError("need one image per source variable")
         if check:
@@ -561,7 +559,7 @@ class GradedRingHom:
             if not self.target.is_homogeneous(im):
                 raise RingError("image not homogeneous")
             if im:
-                want = self.gamma(self.source.degrees[i])
+                want = self.source.degrees[i]
                 if self.target.degree_of(im) != want:
                     raise RingError(
                         f"image of {self.source.varnames[i]} has degree "
@@ -592,13 +590,7 @@ class GradedRingHom:
 
     def compose(self, earlier):
         images = [self.apply(im) for im in earlier.images]
-        return GradedRingHom(
-            earlier.source,
-            self.target,
-            images,
-            gamma=lambda d: self.gamma(earlier.gamma(d)),
-            check=False,
-        )
+        return GradedRingHom(earlier.source, self.target, images, check=False)
 
 
 def contract(phi, J):

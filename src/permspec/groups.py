@@ -8,6 +8,7 @@ scalar lookups of `mul`, `inv` and `conj`.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -309,6 +310,9 @@ def product(*groups):
 
 
 def elementary_abelian(p, r):
+    if p < 2 or r < 0:
+        raise GroupError(f"elementary abelian groups need p >= 2 and rank >= 0, "
+                         f"not p={p}, rank={r}")
     G = cyclic(p)
     for _ in range(r - 1):
         G = product(G, cyclic(p))
@@ -409,35 +413,60 @@ def group_from_spec(spec, cap=DEFAULT_ORDER_CAP):
 
     A spec of the wrong shape (not an object, a missing or non-integer
     field, a table that is not a square list of integer rows, generators
-    that are not lists of cycles of points) raises GroupError."""
+    that are not lists of cycles of points) raises GroupError.  The order is
+    checked against the cap before any table is built."""
     if isinstance(spec, str):
         try:
             spec = json.loads(spec)
         except json.JSONDecodeError as e:
             raise GroupError(f"bad group spec JSON at position {e.pos}: {e.msg}")
+    _, build = _spec_plan(spec, cap)
+    return build()
+
+
+def _check_order(order, cap):
+    if order > cap:
+        raise ResourceError(f"group order {order} exceeds cap {cap}")
+
+
+def _spec_plan(spec, cap):
+    """(order, build): the order of the group a spec names, read off its
+    parameters (a product's from its factors') and checked against the cap,
+    and a function that builds the group.  A perm spec counts 1 here: its
+    order needs its elements, and from_permutations caps those."""
     if not isinstance(spec, dict):
         raise GroupError(f"group spec must be an object, not {spec!r}")
     kind = spec.get("kind")
     if kind == "cyclic":
-        G = cyclic(_spec_int(spec, "n"))
+        n = _spec_int(spec, "n")
+        order, build = n, lambda: cyclic(n)
     elif kind == "dihedral":
-        G = dihedral(_spec_int(spec, "order"))
+        n = _spec_int(spec, "order")
+        order, build = n, lambda: dihedral(n)
     elif kind == "quaternion":
-        G = quaternion()
+        order, build = 8, quaternion
     elif kind == "elementary_abelian":
-        G = elementary_abelian(_spec_int(spec, "p"), _spec_int(spec, "rank"))
+        p, rank = _spec_int(spec, "p"), _spec_int(spec, "rank")
+        if abs(p) >= 2 and rank > cap.bit_length():  # |p^rank| > cap: not formed
+            raise ResourceError(f"group order {p}^{rank} exceeds cap {cap}")
+        order, build = p ** max(rank, 0), lambda: elementary_abelian(p, rank)
     elif kind == "product":
         factors = _spec_field(spec, "factors")
         if not isinstance(factors, list) or not factors:
             raise GroupError("'factors' must be a nonempty list of group specs")
-        G = product(*[group_from_spec(f, cap=cap) for f in factors])
+        plans = [_spec_plan(f, cap) for f in factors]
+
+        def build():
+            groups = [build_factor() for _, build_factor in plans]
+            _check_order(math.prod(F.order for F in groups), cap)  # perm factors
+            return product(*groups)
+
+        order = math.prod(factor_order for factor_order, _ in plans)
     elif kind == "table":
         table = _spec_field(spec, "table")
         if not (_int_lists(table, 2) and all(len(row) == len(table) for row in table)):
             raise GroupError("'table' must be a square list of integer rows")
-        if len(table) > cap:
-            raise ResourceError(f"group order {len(table)} exceeds cap {cap}")
-        G = FiniteGroup(table)
+        order, build = len(table), lambda: FiniteGroup(table)
     elif kind == "perm":
         degree = _spec_int(spec, "degree")
         gens = _spec_field(spec, "generators")
@@ -446,12 +475,11 @@ def group_from_spec(spec, cap=DEFAULT_ORDER_CAP):
             and all(0 <= x < degree for g in gens for c in g for x in c)
         ):
             raise GroupError(f"'generators' must be lists of cycles in 0..{degree - 1}")
-        G = from_permutations(degree, gens, cap=cap)
+        order, build = 1, lambda: from_permutations(degree, gens, cap=cap)
     else:
         raise GroupError(f"unknown group kind {kind!r}")
-    if G.order > cap:
-        raise ResourceError(f"group order {G.order} exceeds cap {cap}")
-    return G
+    _check_order(order, cap)
+    return order, build
 
 
 def _int_lists(value, depth):
@@ -484,8 +512,7 @@ def subgroups(G, cap=DEFAULT_ORDER_CAP):
     The lattice is computed once per group and kept on it; every call checks
     the cap and returns a new list.
     """
-    if G.order > cap:
-        raise ResourceError(f"group order {G.order} exceeds cap {cap}")
+    _check_order(G.order, cap)
     if G._subgroups is None:
         G._subgroups = _lattice(G)
     return list(G._subgroups)
@@ -570,7 +597,9 @@ def subgroup_as_group(H):
 
 
 def quotient(G, N):
-    """Quotient group G/N with its projection.  N must be normal."""
+    """Quotient group G/N with its projection.  N must be normal.
+
+    The projection keeps the least element of every coset as proj.reps."""
     if not N.is_normal():
         raise GroupError("quotient by a non-normal subgroup")
     ns = set(N.elements)
@@ -597,7 +626,9 @@ def quotient(G, N):
     if G.names:
         names = [G.name_of(r) + "N" for r in reps]
     Q = FiniteGroup(table, names=names, check=False)
-    return Q, GroupHom(G, Q, proj_map, check=False)
+    proj = GroupHom(G, Q, proj_map, check=False)
+    proj.reps = reps
+    return Q, proj
 
 
 def weyl(G, H):

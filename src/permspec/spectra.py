@@ -32,18 +32,12 @@ from .groups import (
     subgroup_as_group,
     subgroups,
 )
-from .gradedrings import (
-    GradedRingHom,
-    HomogeneousIdeal,
-    contract,
-    pscale,
-)
+from .gradedrings import HomogeneousIdeal, contract
 from .twisted import (
-    Coordinate,
     canonical_functional,
-    leading_scalar,
-    local_ring,
     closure_ideal,
+    induced_hom,
+    local_ring,
 )
 from .sections import SectionCategory
 
@@ -282,34 +276,6 @@ def _max_ideal(spec):
     return HomogeneousIdeal(pres, [pres.var(v) for v in pres.varnames])
 
 
-def _induced_hom(src_spec, tgt_spec, iota):
-    """Ring map R(A) -> R(B) induced by an injective group hom iota: B -> A.
-
-    Both specs must be localized at the trivial subgroup (zp generators only).
-    Coordinates pull back along iota: zp_N -> 0 when iota(B) <= N, otherwise
-    lam * zp_{canonical pullback}.
-    """
-    p = src_spec.p
-    images = []
-    for name in src_spec.presentation.varnames:
-        assert name.startswith("zp_"), "induced maps need fully localized specs"
-        c = src_spec.coordinate[name[3:]]
-        fpull = tuple(
-            src_spec.ea.functional_on(c.f, int(iota[b])) for b in tgt_spec.ea.basis
-        )
-        if not any(fpull):
-            images.append(tgt_spec.presentation.zero())
-            continue
-        lam = leading_scalar(fpull, p)
-        cbar = Coordinate(tgt_spec.ea, canonical_functional(fpull, p))
-        images.append(
-            pscale(tgt_spec.presentation.var(tgt_spec.varname(cbar)), lam, p)
-        )
-    hom = GradedRingHom(src_spec.presentation, tgt_spec.presentation, images)
-    hom.source_spec, hom.target_spec = src_spec, tgt_spec
-    return hom
-
-
 def _stratum_shift(E, S_P, S_Q, p, ideal):
     """closure_ideal from the S_P-stratum into the S_Q-stratum (S_P <= S_Q),
     expressed in the canonical S_Q-stratum ring."""
@@ -320,12 +286,9 @@ def _stratum_shift(E, S_P, S_Q, p, ideal):
     Q2, proj2 = quotient(Qp, Hbar)
     A_spec = local_ring(Q2, Q2.trivial_subgroup(), p)
     Qq, projq, specq = stratum_data(E, S_Q, p)
-    theta = []
-    for b in range(Qq.order):
-        x = next(x for x in range(E.order) if int(projq.map[x]) == b)
-        theta.append(int(proj2.map[int(projp.map[x])]))
+    theta = [int(proj2.map[int(projp.map[x])]) for x in projq.reps]
     assert len(set(theta)) == Qq.order
-    hom = _induced_hom(A_spec, specq, theta)
+    hom = induced_hom(A_spec, specq, theta)
     out = HomogeneousIdeal(A_spec.presentation, [dict(g) for g in cl.generators],
                            check=False)
     return hom.apply_ideal(out)
@@ -525,23 +488,18 @@ def transport_point(m, src_plat, tgt_plat, point):
     Q1, proj1, spec1 = stratum_data(src_plat.Q, point.stratum, src_plat.p)
     Q2, proj2, spec2 = stratum_data(tgt_plat.Q, Tbar, tgt_plat.p)
     iota = []
-    for q1 in range(Q1.order):
-        a = next(
-            a
-            for a in range(src_plat.Hgrp.order)
-            if int(proj1.map[int(src_plat.proj.map[a])]) == q1
-        )
-        x = G.conj(int(src_plat.embed[a]), g)
+    for y in proj1.reps:
+        x = G.conj(src_plat.embed[src_plat.proj.reps[y]], g)
         iota.append(int(proj2.map[tgt_plat.to_Q(x)]))
     assert len(set(iota)) == Q1.order, "stratum comparison is not injective"
     if Q1.order == Q2.order:
         inv = [0] * Q2.order
         for q1, q2 in enumerate(iota):
             inv[q2] = q1
-        hom = _induced_hom(spec1, spec2, inv)
+        hom = induced_hom(spec1, spec2, inv)
         ideal_t = hom.apply_ideal(point.ideal)
     else:
-        hom = _induced_hom(spec2, spec1, iota)
+        hom = induced_hom(spec2, spec1, iota)
         ideal_t = contract(hom, point.ideal)
     kind = _classify(spec2, ideal_t)
     if point.kind == KIND_FAMILY and Q1.order == Q2.order and kind == KIND_CUSTOM:
@@ -753,13 +711,10 @@ def fold(skel, matrix):
     for i, pt in enumerate(skel.points):
         S2 = E.subgroup(sorted(theta[x] for x in pt.stratum.elements))
         _, proj1, spec1 = stratum_data(E, pt.stratum, p)
-        Q2, proj2, spec2 = stratum_data(E, S2, p)
+        _, proj2, spec2 = stratum_data(E, S2, p)
         # group iso E/S -> E/S2 induced by theta; the ring map goes backwards
-        iota = []
-        for b in range(Q2.order):
-            x = next(x for x in range(E.order) if int(proj2.map[x]) == b)
-            iota.append(int(proj1.map[theta_inv[x]]))
-        hom = _induced_hom(spec1, spec2, iota)
+        iota = [int(proj1.map[theta_inv[x]]) for x in proj2.reps]
+        hom = induced_hom(spec1, spec2, iota)
         moved = SpectrumPoint(
             S2, hom.apply_ideal(pt.ideal), pt.kind, pt.label + "'"
         )

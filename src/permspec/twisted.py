@@ -290,29 +290,50 @@ def present_Rtotal(E, p):
 # -- induced homomorphisms ----------------------------------------------------------
 
 
-def _quotient_coordinate(src_ea, tgt_ea, proj, N):
-    """Canonical coordinate of N/K in E/K and the recanonicalization scalar.
+def _hom_by_pullback(src, tgt, pull):
+    """The ring map src -> tgt induced by a group map, one rule for every case.
 
-    N must contain K = ker(proj).  Returns (Coordinate, lam) where the induced
-    functional pibar (pibar o proj = pi_N) equals lam * canonical.
+    pull(f) is the functional a source coordinate f becomes on the target
+    basis, or None when its generator dies.  A pull-back lam * canonical sends
+    zp to lam * zp and zm to lam^{-1} * zm.  The returned hom carries
+    .source_spec / .target_spec attributes.
     """
-    p = src_ea.p
-    f = src_ea.functional_of_kernel(N)
-    fbar = []
-    pm = np.asarray(proj.map)
-    for b in tgt_ea.basis:
-        x = int(np.nonzero(pm == b)[0][0])  # any preimage of the basis element
-        fbar.append(src_ea.functional_on(f, x))
-    fbar = tuple(fbar)
-    lam = leading_scalar(fbar, p)
-    return Coordinate(tgt_ea, canonical_functional(fbar, p)), lam
+    p = src.p
+    images = []
+    for name in src.presentation.varnames:
+        sign, lbl = name.split("_", 1)
+        f = pull(src.coordinate[lbl].f)
+        if f is None:
+            images.append(tgt.presentation.zero())
+            continue
+        lam = leading_scalar(f, p)
+        tname = tgt.varname(Coordinate(tgt.ea, canonical_functional(f, p)))
+        scale = lam if sign == "zp" else pow(lam, p - 2, p)
+        images.append(pscale(tgt.presentation.var(tname), scale, p))
+    hom = GradedRingHom(src.presentation, tgt.presentation, images)
+    hom.source_spec, hom.target_spec = src, tgt
+    return hom
+
+
+def induced_hom(src, tgt, iota):
+    """Ring map src -> tgt induced by an injective group hom iota: B -> A.
+
+    src is a local ring of A, tgt one of B, and iota[b] is the image of every
+    element b of B.  A generator dies when iota(B) lies in its kernel.
+    """
+    ea = src.ea
+
+    def pull(f):
+        fb = tuple(ea.functional_on(f, int(iota[b])) for b in tgt.ea.basis)
+        return fb if any(fb) else None
+
+    return _hom_by_pullback(src, tgt, pull)
 
 
 def psi_hom(E, H, K, p):
     """The quotient-collapse map Psi^K: R'_E(H) -> R'_{E/K}(H/K) for K <= H.
 
-    zp_N -> lam * zp_{N/K}; zm_M -> lam^{-1} * zm_{M/K} when K <= M, else 0.
-    The returned hom carries .source_spec / .target_spec attributes.
+    A functional descends to E/K only if it vanishes on K; the others die.
     """
     if not H.contains_subgroup(K):
         raise GroupError("psi_hom needs K <= H")
@@ -320,59 +341,28 @@ def psi_hom(E, H, K, p):
     Q, proj = quotient(E, E.subgroup(list(K.elements)))
     Hbar = Q.subgroup(sorted({int(proj.map[x]) for x in H.elements}))
     tgt = local_ring(Q, Hbar, p)
-    tgt_ea = tgt.ea
-    images = []
-    for name in src.presentation.varnames:
-        sign, lbl = name.split("_", 1)
-        N = src.coordinate[lbl].kernel
-        if not N.contains_subgroup(K):
-            assert sign == "zm"
-            images.append(tgt.presentation.zero())
-            continue
-        cbar, lam = _quotient_coordinate(src.ea, tgt_ea, proj, N)
-        tname = tgt.varname(cbar)
-        scale = lam if sign == "zp" else pow(lam, p - 2, p)
-        images.append(pscale(tgt.presentation.var(tname), scale, p))
-    hom = GradedRingHom(src.presentation, tgt.presentation, images)
-    hom.source_spec, hom.target_spec = src, tgt
-    return hom
+    ea = src.ea
+
+    def pull(f):
+        if any(ea.functional_on(f, k) for k in K.elements):
+            return None
+        return tuple(ea.functional_on(f, proj.reps[b]) for b in tgt.ea.basis)
+
+    return _hom_by_pullback(src, tgt, pull)
 
 
 def res_hom(Esub, E, H, p):
     """Restriction R'_E(H) -> R'_{E'}(H) along a subgroup E' <= E with H <= E'.
 
-    zp_N -> 0 when E' <= N, else lam * zp_{N cap E'}; zm_M -> lam^{-1} * zm_{M cap E'}.
     Esub is a Subgroup of E; the target lives on the abstract group of Esub.
     """
     if not Esub.contains_subgroup(H):
         raise GroupError("res_hom needs H <= E'")
-    src = local_ring(E, H, p)
     Esub_grp, embed = subgroup_as_group(Esub)
     Hsub = Esub_grp.subgroup(
         [i for i, x in enumerate(embed) if int(x) in set(H.elements)]
     )
-    tgt = local_ring(Esub_grp, Hsub, p)
-    images = []
-    esub_set = set(Esub.elements)
-    for name in src.presentation.varnames:
-        sign, lbl = name.split("_", 1)
-        N = src.coordinate[lbl].kernel
-        if esub_set <= set(N.elements):
-            assert sign == "zp", "zm kernel cannot contain E' when H <= E'"
-            images.append(tgt.presentation.zero())
-            continue
-        f = src.ea.functional_of_kernel(N)
-        fsub = tuple(
-            src.ea.functional_on(f, int(embed[b])) for b in tgt.ea.basis
-        )
-        lam = leading_scalar(fsub, p)
-        csub = Coordinate(tgt.ea, canonical_functional(fsub, p))
-        tname = tgt.varname(csub)
-        scale = lam if sign == "zp" else pow(lam, p - 2, p)
-        images.append(pscale(tgt.presentation.var(tname), scale, p))
-    hom = GradedRingHom(src.presentation, tgt.presentation, images)
-    hom.source_spec, hom.target_spec = src, tgt
-    return hom
+    return induced_hom(local_ring(E, H, p), local_ring(Esub_grp, Hsub, p), embed)
 
 
 class GlueIso:
@@ -425,31 +415,24 @@ def glue_iso(E, H, K, p):
         for lbl in sH.coordinate
         if (lbl in sH.plus_of) != (lbl in sK.plus_of)
     ]
-    locH, invH = _localized_presentation(sH, disagree)
-    locK, invK = _localized_presentation(sK, disagree)
+    locH, _ = _localized_presentation(sH, disagree)
+    locK, _ = _localized_presentation(sK, disagree)
 
-    def dictionary(src_spec, src_inv, tgt_spec, tgt_inv, src_loc, tgt_loc):
+    def dictionary(src_spec, tgt_spec, src_loc, tgt_loc):
         images = []
         for name in src_loc.varnames:
             inverted = name.startswith("inv_")
-            base = name[4:] if inverted else name
-            lbl = base.split("_", 1)[1]
+            lbl = name.removeprefix("inv_").split("_", 1)[1]
             same_side = (lbl in src_spec.plus_of) == (lbl in tgt_spec.plus_of)
-            if same_side:
-                tgt_name = tgt_spec.varname(lbl)
-                images.append(
-                    tgt_loc.var(f"inv_{tgt_name}" if inverted else tgt_name)
-                )
-            else:
-                # zp <-> inverse of zm across the localization
-                tgt_name = tgt_spec.varname(lbl)
-                images.append(
-                    tgt_loc.var(tgt_name if inverted else f"inv_{tgt_name}")
-                )
+            # zp <-> inverse of zm where the sides disagree
+            tgt_name = tgt_spec.varname(lbl)
+            images.append(
+                tgt_loc.var(f"inv_{tgt_name}" if inverted == same_side else tgt_name)
+            )
         return GradedRingHom(src_loc, tgt_loc, images)
 
-    to_K = dictionary(sH, invH, sK, invK, locH, locK)
-    to_H = dictionary(sK, invK, sH, invH, locK, locH)
+    to_K = dictionary(sH, sK, locH, locK)
+    to_H = dictionary(sK, sH, locK, locH)
     return GlueIso(locH, locK, to_K, to_H)
 
 
@@ -476,37 +459,18 @@ def closure_ideal(E, H, I, p):
     if hit is not None:
         return hit
     specH = local_ring(E, H, p)
-    # common localization T: all zp_N, plus zm_M = zp_M^{-1} for M not >= H
-    variables = list(zip(spec1.presentation.varnames, spec1.presentation.degrees))
-    d = two_prime(p)
-    minus_labels = sorted(specH.minus_of)
-    variables += [(f"zm_{lbl}", -d) for lbl in minus_labels]
-    extra = len(minus_labels)
-    t_rels = [
-        {m + (0,) * extra: c for m, c in r.items()}
-        for r in spec1.presentation.relations
-    ]
-    T = GradedPresentation(p, variables, check=False)
-    for lbl in minus_labels:
-        t_rels.append(
-            {
-                tuple(
-                    (1 if v in (f"zp_{lbl}", f"zm_{lbl}") else 0)
-                    for v in T.varnames
-                ): 1,
-                (0,) * T.nvars: p - 1,
-            }
-        )
-    T = GradedPresentation(p, variables, relations=t_rels, check=False)
+    # common localization T: all zp_N, plus inverses of zp_M for M not >= H
+    T, inv_of = _localized_presentation(spec1, specH.minus_of)
     into_T = GradedRingHom(
         spec1.presentation, T, [T.var(v) for v in spec1.presentation.varnames],
         check=False,
     )
     J_T = into_T.apply_ideal(I)
+    name_in_T = {specH.minus_of[lbl]: inv for lbl, inv in inv_of.items()}
     Q = GradedRingHom(
         specH.presentation,
         T,
-        [T.var(v) for v in specH.presentation.varnames],
+        [T.var(name_in_T.get(v, v)) for v in specH.presentation.varnames],
     )
     pulled = contract(Q, J_T)
     # reinterpret the pulled generators inside R'_E(H), then collapse the zm's

@@ -3,14 +3,18 @@ import time
 
 import pytest
 
+from permspec import cli
 from permspec.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RESOURCE,
+    EXIT_VERIFY,
     main,
     parse_group,
     parse_subgroup,
 )
+from permspec.groups import GroupError, ResourceError
+from permspec.spectra import GlueError
 
 
 def run(capsys, *argv):
@@ -129,6 +133,40 @@ def test_malformed_json_group_spec_exits_2(capsys, spec, names):
     code, out, err = run(capsys, "sections", "--group", spec)
     assert code == EXIT_PARSE and out == ""
     assert err.startswith("error: ") and names in err
+
+
+@pytest.mark.parametrize("text", [
+    "cyclic:600", "dihedral:1000", "ea:2:8", "ea:3:1000000000",
+])
+def test_shorthand_order_is_capped_before_any_table_is_built(monkeypatch, text):
+    import permspec.groups
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a group table was built before the cap check")
+
+    monkeypatch.setattr(permspec.groups, "FiniteGroup", no_table)
+    with pytest.raises(ResourceError, match="exceeds cap"):
+        parse_group(text)
+
+
+def test_shorthand_errors_exit_2(capsys):
+    for text in ("ea:2:-1", "cyclic:x", "ea:2", "klein:4"):
+        code, out, err = run(capsys, "sections", "--group", text)
+        assert code == EXIT_PARSE and out == "" and err.startswith("error: ")
+    with pytest.raises(GroupError):
+        parse_group("ea:2:-1")
+
+
+def test_glue_error_exits_4_and_points_to_strata(monkeypatch, capsys):
+    # the real case (D8 x C2 at the rational level) is a golden; this pins
+    # the message without its 10 s of closure transports
+    def fail(*args, **kwargs):
+        raise GlueError("transported point eta(1)^[0] is not a named point")
+
+    monkeypatch.setattr(cli, "glue", fail)
+    code, out, err = run(capsys, "glue", "--group", "klein")
+    assert code == EXIT_VERIFY and out == ""
+    assert err.startswith("error: transported point") and "--level strata" in err
 
 
 def test_resource_limit(capsys):

@@ -33,6 +33,12 @@ CASES = {
     "ring_d8": ["ring", "--group", "dihedral:8"],
     "skeleton_klein_dot": ["skeleton", "--group", "klein", "--format", "dot"],
     "glue_d8_json": ["glue", "--group", "dihedral:8", "--format", "json"],
+    # a rational transport leaves the named points: exit 4, nothing on stdout
+    "glue_d8xc2_rational": [
+        "glue", "--group",
+        '{"kind":"product","factors":[{"kind":"dihedral","order":8},'
+        '{"kind":"cyclic","n":2}]}',
+    ],
     "components_q8": ["components", "--group", "quaternion"],
     "dim_q8": ["dim", "--group", "quaternion"],
     "fold_klein": ["fold", "--group", "klein", "--matrix", "01,10"],

@@ -328,3 +328,47 @@ def test_table_spec_over_the_cap_is_refused_before_validation():
         group_from_spec(spec)
     with pytest.raises(ResourceError):
         group_from_spec(spec, cap=3)
+
+
+ORDER_CAPPED_SPECS = [
+    ({"kind": "cyclic", "n": 600}, 4),
+    ({"kind": "dihedral", "order": 600}, 128),
+    ({"kind": "elementary_abelian", "p": 3, "rank": 5}, 128),
+    ({"kind": "elementary_abelian", "p": 2, "rank": 10 ** 9}, 128),
+    ({"kind": "product", "factors": [{"kind": "cyclic", "n": 100}] * 2}, 128),
+    # a factor of negative order must not hide a large one
+    ({"kind": "product", "factors": [
+        {"kind": "cyclic", "n": 10 ** 6}, {"kind": "cyclic", "n": -1},
+    ]}, 128),
+    ({"kind": "product", "factors": [
+        {"kind": "quaternion"},
+        {"kind": "product", "factors": [{"kind": "cyclic", "n": 4}] * 2},
+    ]}, 64),
+]
+
+
+@pytest.mark.parametrize("spec, cap", ORDER_CAPPED_SPECS)
+def test_spec_order_is_capped_before_any_table_is_built(monkeypatch, spec, cap):
+    import permspec.groups
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a group table was built before the cap check")
+
+    monkeypatch.setattr(permspec.groups, "FiniteGroup", no_table)
+    with pytest.raises(ResourceError, match="exceeds cap"):
+        group_from_spec(spec, cap=cap)
+
+
+def test_product_of_perm_factors_is_capped_before_the_product_table():
+    s3 = {"kind": "perm", "degree": 3, "generators": [[[0, 1]], [[0, 1, 2]]]}
+    assert group_from_spec({"kind": "product", "factors": [s3, s3]}).order == 36
+    with pytest.raises(ResourceError, match="group order 36 exceeds cap 30"):
+        group_from_spec({"kind": "product", "factors": [s3, s3]}, cap=30)
+
+
+@pytest.mark.parametrize("p, rank", [(2, -1), (3, -5), (1, 3), (0, 2)])
+def test_elementary_abelian_needs_a_prime_and_a_rank(p, rank):
+    with pytest.raises(GroupError, match="rank >= 0"):
+        group_from_spec({"kind": "elementary_abelian", "p": p, "rank": rank})
+    with pytest.raises(GroupError, match="rank >= 0"):
+        elementary_abelian(p, rank)
