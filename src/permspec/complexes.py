@@ -22,12 +22,28 @@ import json
 import numpy as np
 
 from . import modp
-from .groups import FiniteGroup, quotient, subgroup_as_group
+from .groups import FiniteGroup, ResourceError, quotient, subgroup_as_group
 from .modp import two_prime
+
+# Entries of the largest dense matrix a tensor product may allocate (2^22
+# int64 entries, 32 MiB).  The largest that the tests, demos and benchmark
+# build has 384,912 (a 4-fold tensor of u's at p = 3); a 5-fold one would
+# need 15.9M and a 6-fold one 637M (5 GB).
+MAX_DENSE_ENTRIES = 1 << 22
 
 
 class ComplexError(ValueError):
     pass
+
+
+def _check_dense(shapes):
+    """Refuse, before anything is allocated, a dense matrix over the cap."""
+    for rows, cols in shapes:
+        if rows * cols > MAX_DENSE_ENTRIES:
+            raise ResourceError(
+                f"a {rows} x {cols} dense matrix exceeds the cap of "
+                f"{MAX_DENSE_ENTRIES} entries"
+            )
 
 
 class GSet:
@@ -48,9 +64,7 @@ class GSet:
 
     def tensor(self, other):
         """Product G-set with diagonal action; index (x, y) -> x*|Y| + y."""
-        ny = other.size
-        act = self.action[:, :, None] * ny + other.action[:, None, :]
-        return GSet(self.group, act.reshape(self.group.order, -1))
+        return GSet(self.group, _product_action(self, other))
 
     def disjoint_union(self, other):
         act = np.concatenate([self.action, other.action + self.size], axis=1)
@@ -85,6 +99,12 @@ class GSet:
             for x in range(self.size)
             if all(self.action[h, x] == x for h in H.elements)
         ]
+
+
+def _product_action(X, Y):
+    """Action table of X x Y, the point (x, y) at index x*|Y| + y."""
+    act = X.action[:, :, None] * Y.size + Y.action[:, None, :]
+    return act.reshape(X.group.order, -1)
 
 
 def trivial_gset(G, size=1):
@@ -155,44 +175,44 @@ class PermComplex:
     def tensor(self, other):
         assert self.group is other.group or self.group == other.group
         p = self.p
-        blocks = {}  # degree -> list of (i, j)
-        for i in self.degrees():
-            for j in other.degrees():
-                blocks.setdefault(i + j, []).append((i, j))
-        for n in blocks:
-            blocks[n].sort()
-        offsets, gsets = {}, {}
-        for n, bl in blocks.items():
-            off, pos = {}, 0
-            gs = None
-            for (i, j) in bl:
-                prod = self.gsets[i].tensor(other.gsets[j])
-                off[(i, j)] = pos
-                pos += prod.size
-                gs = prod if gs is None else gs.disjoint_union(prod)
-            offsets[n] = off
-            gsets[n] = gs
+        degs = sorted({i + j for i in self.degrees() for j in other.degrees()})
+        blocks = {n: _block_offsets(self, other, n) for n in degs}
+        size = {n: sum(sz for _, sz in bl.values()) for n, bl in blocks.items()}
+        _check_dense((size[n - 1], size[n]) for n in degs if n - 1 in size)
+        gsets = {
+            n: GSet(self.group, np.concatenate([
+                _product_action(self.gsets[i], other.gsets[j]) + off
+                for (i, j), (off, _) in bl.items()
+            ], axis=1))
+            for n, bl in blocks.items()
+        }
         diffs = {}
-        for n in sorted(blocks):
+        for n in degs:
             if (n - 1) not in blocks:
                 continue
-            D = np.zeros((gsets[n - 1].size, gsets[n].size), dtype=np.int64)
-            for (i, j) in blocks[n]:
+            below = blocks[n - 1]
+            D = np.zeros((size[n - 1], size[n]), dtype=np.int64)
+            # the block (i, j) spans columns col + x*dj + y for x < ci and
+            # y < dj; d (x) 1 and 1 (x) d land in different row blocks
+            for (i, j), (col, _) in blocks[n].items():
                 ci, dj = self.dim(i), other.dim(j)
-                col = offsets[n][(i, j)]
-                if (i - 1, j) in offsets[n - 1]:
-                    row = offsets[n - 1][(i - 1, j)]
-                    blk = np.kron(self.diff(i), np.eye(dj, dtype=np.int64))
-                    D[row:row + self.dim(i - 1) * dj, col:col + ci * dj] += blk
-                if (i, j - 1) in offsets[n - 1]:
-                    row = offsets[n - 1][(i, j - 1)]
+                d = self.diffs.get(i)
+                if d is not None and (i - 1, j) in below:
+                    row = below[i - 1, j][0]
+                    a, b = np.nonzero(d)
+                    y = np.arange(dj)
+                    D[row + a[:, None] * dj + y, col + b[:, None] * dj + y] = \
+                        d[a, b][:, None]
+                d = other.diffs.get(j)
+                if d is not None and (i, j - 1) in below:
+                    row = below[i, j - 1][0]
                     sign = 1 if i % 2 == 0 else p - 1
-                    blk = sign * np.kron(
-                        np.eye(ci, dtype=np.int64), other.diff(j)
-                    )
-                    D[row:row + ci * other.dim(j - 1), col:col + ci * dj] += blk
+                    a, b = np.nonzero(d)
+                    x = np.arange(ci)[:, None]
+                    D[row + x * other.dim(j - 1) + a, col + x * dj + b] = \
+                        (sign * d[a, b]) % p
             if D.any():
-                diffs[n] = D % p
+                diffs[n] = D
         return PermComplex(self.group, p, gsets, diffs, check=False)
 
     def dual(self):
@@ -317,6 +337,7 @@ class EquivariantChainMap:
         src = self.source.tensor(other.source)
         tgt = self.target.tensor(other.target)
         s = self.shift + other.shift
+        _check_dense((tgt.dim(n - s), src.dim(n)) for n in src.degrees())
         comps = {}
         for n in src.degrees():
             M = np.zeros((tgt.dim(n - s), src.dim(n)), dtype=np.int64)
@@ -463,20 +484,6 @@ def map_c(u):
 # -- homotopy oracle -----------------------------------------------------------------
 
 
-def equivariant_map_basis(src_gset, tgt_gset):
-    """Matrices of the orbit basis of Hom_G(k src, k tgt)."""
-    prod = src_gset.tensor(tgt_gset)
-    ny = tgt_gset.size
-    out = []
-    for orb in prod.orbits():
-        M = np.zeros((ny, src_gset.size), dtype=np.int64)
-        for z in orb:
-            x, y = divmod(int(z), ny)
-            M[y, x] = 1
-        out.append(M)
-    return out
-
-
 def is_null_homotopic(f):
     """Decide f = d h + (-1)^s h d; returns (bool, witness or None).
 
@@ -488,11 +495,16 @@ def is_null_homotopic(f):
     """
     C, D, p, s = f.source, f.target, f.source.p, f.shift
     sign = 1 if s % 2 == 0 else p - 1
-    unknowns = []  # (degree n, orbit matrix)
+    # one unknown per orbit of pairs (x, y) in C_n x D_{n-s+1}, numbered by
+    # degree and then by least point; unknown[n][x*|D_{n-s+1}| + y] is the
+    # unknown whose orbit holds (x, y)
+    unknown, count = {}, 0
     for n in C.degrees():
         if C.dim(n) and D.dim(n - s + 1):
-            for M in equivariant_map_basis(C.gsets[n], D.gsets[n - s + 1]):
-                unknowns.append((n, M))
+            label = C.gsets[n].tensor(D.gsets[n - s + 1]).orbit_label()
+            reps, index = np.unique(label, return_inverse=True)
+            unknown[n] = index + count
+            count += len(reps)
     rows = []
     rhs = []
     for n in C.degrees():
@@ -504,28 +516,36 @@ def is_null_homotopic(f):
         if not np.array_equal(fn, fn[label]):
             raise ComplexError(f"component not equivariant at {n}")
         reps = np.unique(label)
-        coeff = np.zeros((len(reps), len(unknowns)), dtype=np.int64)
-        for k, (m_deg, M) in enumerate(unknowns):
-            if m_deg == n:
-                contrib = modp.matmul(D.diff(n - s + 1), M, p)
-            elif m_deg == n - 1:
-                contrib = sign * modp.matmul(M, C.diff(n), p)
-            else:
-                continue
-            coeff[:, k] = contrib.reshape(-1)[reps] % p
-        rows.append(coeff)
+        y, x = np.divmod(reps, C.dim(n))
+        coeff = np.zeros((len(reps), count), dtype=np.int64)
+        d = D.diffs.get(n - s + 1)
+        if n in unknown and d is not None:
+            # (d h_n)[y, x] sums d[y, y'] over the pairs (x, y') of an orbit
+            d = d[y]
+            e, y1 = np.nonzero(d)
+            cols = unknown[n][x[e] * D.dim(n - s + 1) + y1]
+            np.add.at(coeff, (e, cols), d[e, y1])
+        d = C.diffs.get(n)
+        if n - 1 in unknown and d is not None:
+            # (h_{n-1} d)[y, x] sums d[x', x] over the pairs (x', y)
+            d = d[:, x]
+            x1, e = np.nonzero(d)
+            cols = unknown[n - 1][x1 * D.dim(n - s) + y[e]]
+            np.add.at(coeff, (e, cols), sign * d[x1, e])
+        rows.append(coeff % p)
         rhs.append(fn[reps])
     if not rows:
         return True, {}
     A = np.concatenate(rows, axis=0)
     b = np.concatenate(rhs)
-    x = modp.solve(A, b, p)
-    if x is None:
+    sol = modp.solve(A, b, p)
+    if sol is None:
         return False, None
     witness = {}
-    for k, (n, M) in enumerate(unknowns):
-        if x[k]:
-            witness[n] = (witness.get(n, 0) + int(x[k]) * M) % p
+    for n, index in unknown.items():
+        h = sol[index]
+        if h.any():
+            witness[n] = h.reshape(C.dim(n), -1).T
     return True, witness
 
 

@@ -634,41 +634,43 @@ def contract(phi, J):
     return HomogeneousIdeal(src, gens, check=False)
 
 
-def count_standard_monomials(pres, shift, twist=None, max_total=60):
+def count_standard_monomials(pres, shift, twist):
     """Dimension of the graded piece (shift, twist) of the presented algebra.
 
     Counts monomials of the given multidegree avoiding all leading terms of
-    the relation Groebner basis.  Requires a twist grading that bounds the
-    exponents (every variable must carry a nonzero twist when twist is given).
+    the relation Groebner basis.  Every variable must carry a twist of the
+    same length with nonnegative entries, not all zero, which bounds the
+    exponents of each twist.
     """
     gb = pres.groebner_of([])
     lead = [leading(dict(g), pres.order)[0] for g in gb]
-    n = pres.nvars
-    if twist is not None:
-        bounds = []
-        for i, name in enumerate(pres.varnames):
-            t = pres.twists.get(name)
-            if not t or all(x == 0 for x in t):
-                raise RingError("twist counting needs twist-positive variables")
-            bounds.append(
-                min(
-                    (twist[k] // t[k]) if t[k] else max_total
-                    for k in range(len(twist))
-                    if t[k] or twist[k] < max_total
-                )
-            )
-    else:
-        bounds = [max_total] * n
-    count = 0
-    for expo in itertools.product(*[range(b + 1) for b in bounds]):
-        if twist is not None and pres.twist_degree(expo) != tuple(twist):
-            continue
-        if pres.shift_degree(expo) != shift:
-            continue
-        if any(_divides(lm, expo) for lm in lead):
-            continue
-        count += 1
-    return count
+    twists = []
+    for name in pres.varnames:
+        t = pres.twists.get(name)
+        if not t or not any(t) or min(t) < 0 or len(t) != len(twist):
+            raise RingError("twist counting needs twist-positive variables")
+        twists.append(t)
+    return sum(
+        1
+        for expo in _exponents_of_twist(twists, tuple(twist))
+        if pres.shift_degree(expo) == shift
+        and not any(_divides(lm, expo) for lm in lead)
+    )
+
+
+def _exponents_of_twist(twists, budget):
+    """Exponent vectors e with sum_i e_i * twists[i] == budget, variable by
+    variable with what is left of the budget."""
+    if not twists:
+        if not any(budget):
+            yield ()
+        return
+    e = 0
+    while min(budget) >= 0:
+        for rest in _exponents_of_twist(twists[1:], budget):
+            yield (e,) + rest
+        budget = tuple(map(sub, budget, twists[0]))
+        e += 1
 
 
 # -- ASCII grammar ----------------------------------------------------------------

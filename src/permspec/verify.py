@@ -126,12 +126,7 @@ def verify_functors():
             if N.contains_subgroup(H):
                 Q, proj = quotient(E, H)
                 qea = EAStructure(Q, p)
-                fbar = []
-                for b in qea.basis:
-                    x = next(
-                        x for x in range(E.order) if int(proj.map[x]) == b
-                    )
-                    fbar.append(ea.functional_on(c.f, x))
+                fbar = [ea.functional_on(c.f, proj.reps[b]) for b in qea.basis]
                 cbar = Coordinate(qea, canonical_functional(tuple(fbar), p))
                 u_bar = build_u(Q, p, _pi_array(qea, cbar))
                 good = (

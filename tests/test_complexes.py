@@ -1,10 +1,12 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permspec import complexes, modp
-from permspec.groups import FiniteGroup, cyclic, elementary_abelian
+from permspec.groups import FiniteGroup, ResourceError, cyclic, elementary_abelian
 from permspec.complexes import (
     ComplexError,
     EquivariantChainMap,
@@ -26,7 +28,7 @@ from permspec.complexes import (
     unit_complex,
     verify_homotopy,
 )
-from permspec.twisted import EAStructure, coordinates
+from permspec.twisted import EAStructure, coordinates, dependent_triples
 
 
 def _pi(ea, coord):
@@ -201,12 +203,53 @@ def _reference_invariant_vectors(C, n):
     return np.array(rows, dtype=np.int64)
 
 
+def _reference_tensor(C, D):
+    """C (x) D with d (x) 1 and 1 (x) d placed as np.kron blocks with identity
+    matrices, and each degree's G-set chained by disjoint_union."""
+    p = C.p
+    blocks = {}  # degree -> list of (i, j)
+    for i in C.degrees():
+        for j in D.degrees():
+            blocks.setdefault(i + j, []).append((i, j))
+    offsets, gsets = {}, {}
+    for n, bl in blocks.items():
+        bl.sort()
+        off, pos, gs = {}, 0, None
+        for (i, j) in bl:
+            prod = C.gsets[i].tensor(D.gsets[j])
+            off[(i, j)] = pos
+            pos += prod.size
+            gs = prod if gs is None else gs.disjoint_union(prod)
+        offsets[n] = off
+        gsets[n] = gs
+    diffs = {}
+    for n in sorted(blocks):
+        if (n - 1) not in blocks:
+            continue
+        M = np.zeros((gsets[n - 1].size, gsets[n].size), dtype=np.int64)
+        for (i, j) in blocks[n]:
+            ci, dj = C.dim(i), D.dim(j)
+            col = offsets[n][(i, j)]
+            if (i - 1, j) in offsets[n - 1]:
+                row = offsets[n - 1][(i - 1, j)]
+                blk = np.kron(C.diff(i), np.eye(dj, dtype=np.int64))
+                M[row:row + C.dim(i - 1) * dj, col:col + ci * dj] += blk
+            if (i, j - 1) in offsets[n - 1]:
+                row = offsets[n - 1][(i, j - 1)]
+                sign = 1 if i % 2 == 0 else p - 1
+                blk = sign * np.kron(np.eye(ci, dtype=np.int64), D.diff(j))
+                M[row:row + ci * D.dim(j - 1), col:col + ci * dj] += blk
+        if M.any():
+            diffs[n] = M % p
+    return PermComplex(C.group, p, gsets, diffs, check=False)
+
+
 def _reference_hom_dim(G, p, coords, s):
     """Invariant cycles modulo boundaries of invariants, from dense products
     of the full tensor complex, built in the given order."""
     T = unit_complex(G, p)
     for pi in coords:
-        T = T.tensor(build_u(G, p, pi))
+        T = _reference_tensor(T, build_u(G, p, pi))
     n = -s
     inv_n = _reference_invariant_vectors(T, n)
     inv_up = _reference_invariant_vectors(T, n + 1)
@@ -391,13 +434,80 @@ def test_null_homotopy_witness_matches_full_rows():
         (_, u), = _all_units(cyclic(p), p)
         cases.append(identity_map(cone(map_a(u)).tensor(cone(map_b(u)))))
         cases.append(identity_map(u))
+    # the master relation: Klein, and C3xC3 with the right and a wrong scalar
+    for E, p in ((elementary_abelian(2, 2), 2), (elementary_abelian(3, 2), 3)):
+        ea = EAStructure(E, p)
+        c1, c2, c3, lam3 = next(dependent_triples(ea))
+        us = [build_u(E, p, _pi(ea, c)) for c in (c1, c2, c3)]
+        cases.append(master_relation_map(*us, lam3=lam3))
+        if p > 2:
+            cases.append(master_relation_map(*us, lam3=(lam3 % (p - 1)) + 1))
+    nulls = []
     for f in cases:
         ok, w = is_null_homotopic(f)
         ok0, w0 = _reference_is_null_homotopic(f)
         assert ok == ok0
+        nulls.append(ok)
         if ok:
             assert sorted(w) == sorted(w0)
             assert all(np.array_equal(w[n], w0[n]) for n in w)
             assert verify_homotopy(f, w)
         else:
             assert w is None and w0 is None
+    assert nulls[-3:] == [True, True, False]
+
+
+@functools.cache
+def _tensor_pool(group):
+    """Units, cones of a and b, duals and the unit over the named group."""
+    E, p = {"C2": (cyclic(2), 2), "C3": (cyclic(3), 3),
+            "Klein": (elementary_abelian(2, 2), 2),
+            "C3xC3": (elementary_abelian(3, 2), 3)}[group]
+    units = [u for _, u in _all_units(E, p)]
+    u = units[0]
+    cones = [cone(map_a(u)), cone(map_b(u))]
+    return units + cones + [x.dual() for x in [u] + cones] + [unit_complex(E, p)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["C2", "C3", "Klein", "C3xC3"]), st.data())
+def test_tensor_matches_kron_reference(group, data):
+    pool = _tensor_pool(group)
+    C = data.draw(st.sampled_from(pool))
+    D = data.draw(st.sampled_from(pool))
+    got, ref = C.tensor(D), _reference_tensor(C, D)
+    assert got.degrees() == ref.degrees()
+    assert all(np.array_equal(got.gsets[n].action, ref.gsets[n].action)
+               for n in ref.degrees())
+    assert sorted(got.diffs) == sorted(ref.diffs)
+    assert all(np.array_equal(got.diffs[n], ref.diffs[n]) for n in ref.diffs)
+
+
+def test_tensor_dense_cap(monkeypatch):
+    E, p = cyclic(2), 2
+    (_, u), = _all_units(E, p)
+    # u (x) u has dimensions 1, 4, 4 and a 4 x 4 differential in degree 2
+    monkeypatch.setattr(complexes, "MAX_DENSE_ENTRIES", 15)
+    with pytest.raises(ResourceError):
+        u.tensor(u)
+    # a complex in one degree has no differential, but a map's component
+    # on the tensor of two points of k[C2] is 4 x 4
+    D = PermComplex(E, p, {0: GSet(E, [[0, 1], [1, 0]])}, {})
+    with pytest.raises(ResourceError):
+        identity_map(D).tensor(identity_map(D))
+    monkeypatch.setattr(complexes, "MAX_DENSE_ENTRIES", 16)
+    assert u.tensor(u).total_dim() == 9
+    assert identity_map(D).tensor(identity_map(D)).comp(0).shape == (4, 4)
+
+
+def test_hom_dim_refuses_large_tensor_powers(monkeypatch):
+    # at p = 3 a 5-fold tensor of u's needs a 4050 x 3915 differential and a
+    # 6-fold one 26730 x 23814 (5 GB); both exceed the cap before allocating
+    E, p = elementary_abelian(3, 2), 3
+    pi = _pi(EAStructure(E, p), coordinates(EAStructure(E, p))[0])
+    monkeypatch.setattr(complexes, "_HOM_CACHE", {})
+    assert hom_dim(E, p, [pi] * 4, -4) == _reference_hom_dim(E, p, [pi] * 4, -4)
+    with pytest.raises(ResourceError):
+        hom_dim(E, p, [pi] * 5, -5)
+    with pytest.raises(ResourceError):
+        hom_dim(E, p, [pi] * 6, -6)

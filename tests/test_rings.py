@@ -247,6 +247,66 @@ def test_count_standard_monomials():
     assert count_standard_monomials(pres, 1, (1,)) == 1  # x
     assert count_standard_monomials(pres, 2, (2,)) == 0  # x^2 = 0
     assert count_standard_monomials(pres, 1, (2,)) == 1  # x*u
+    with pytest.raises(RingError):
+        count_standard_monomials(_poly_ring(2, ["x"]), 0, (0,))
+
+
+def _reference_count_standard_monomials(pres, shift, twist):
+    """The box filter: every exponent vector up to the bound the twist puts
+    on each variable, kept when its twist and shift match and no leading
+    term of the Groebner basis divides it."""
+    lead = [leading(dict(g), pres.order)[0] for g in pres.groebner_of([])]
+    bounds = [
+        min(w // t for w, t in zip(twist, pres.twists[name]) if t)
+        for name in pres.varnames
+    ]
+    count = 0
+    for expo in itertools.product(*[range(b + 1) for b in bounds]):
+        if pres.twist_degree(expo) != tuple(twist):
+            continue
+        if pres.shift_degree(expo) != shift:
+            continue
+        if any(all(a <= b for a, b in zip(lm, expo)) for lm in lead):
+            continue
+        count += 1
+    return count
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]))
+def test_count_standard_monomials_matches_box_filter(seed, p):
+    rng = random.Random(seed)
+    nvars, ntw = rng.randint(1, 4), rng.randint(1, 3)
+    degs = [-2, 0, 2] if p == 3 else [-2, -1, 0, 1, 2]
+    variables = []
+    for i in range(nvars):
+        tw = [0] * ntw
+        while not any(tw):
+            tw = [rng.randint(0, 2) for _ in range(ntw)]
+        variables.append((f"x{i}", rng.choice(degs), tuple(tw)))
+    pres = GradedPresentation(p, variables, twist_len=ntw)
+    # relations: monomials and binomials of one (shift, twist) bidegree
+    by_degree = {}
+    for _ in range(6):
+        e = tuple(rng.randint(0, 2) for _ in range(nvars))
+        if any(e):
+            key = (pres.shift_degree(e), pres.twist_degree(e))
+            by_degree.setdefault(key, set()).add(e)
+    relations = []
+    for monos in by_degree.values():
+        monos = sorted(monos)
+        f = {monos[0]: 1}
+        if len(monos) > 1 and rng.random() < 0.7:
+            f[monos[1]] = rng.randint(1, p - 1)
+        relations.append(f)
+    pres = GradedPresentation(p, variables, relations=relations, twist_len=ntw)
+    for _ in range(6):
+        # the bidegree of a random monomial, and the twist at another shift
+        expo = tuple(rng.randint(0, 3) for _ in range(nvars))
+        twist = pres.twist_degree(expo)
+        for shift in (pres.shift_degree(expo), rng.randint(-6, 6)):
+            assert count_standard_monomials(pres, shift, twist) == \
+                _reference_count_standard_monomials(pres, shift, twist)
 
 
 @settings(max_examples=150, deadline=None)
