@@ -116,7 +116,11 @@ def empty_gset(G):
 
 
 class PermComplex:
-    """Bounded complex of permutation modules over F_p."""
+    """Bounded complex of permutation modules over F_p.
+
+    With check=False the differentials must already be int64 arrays reduced
+    mod p, as `shift`, `tensor`, `dual` and `cone` build them; they are kept
+    as given, without a copy."""
 
     def __init__(self, group, p, gsets, diffs, check=True):
         self.group = group
@@ -124,7 +128,8 @@ class PermComplex:
         self.gsets = {n: gs for n, gs in gsets.items() if gs.size > 0}
         self.diffs = {}
         for n, d in diffs.items():
-            d = np.array(d, dtype=np.int64) % p
+            if check:
+                d = np.array(d, dtype=np.int64) % p
             if d.size and d.any():
                 self.diffs[n] = d
         if check:

@@ -38,6 +38,8 @@ class FiniteGroup:
         )
         self._inv = None
         self._conj = None
+        self._conj_masks = {}
+        self._coset_minima = {}
         self._digest = None
         self._subgroups = None
         if check:
@@ -72,12 +74,36 @@ class FiniteGroup:
 
     def conj(self, a, g):
         """a^g = g^-1 a g."""
+        return (self._conj or self.conj_table())[g][a]
+
+    def conj_table(self):
+        """Rows conj[g][a] = a^g, built on first use."""
         if self._conj is None:
             t = self.table
             inv = np.array([self.inv(x) for x in range(self.order)])
             # conj[g][a] = (g^-1 a) g
             self._conj = t[t[inv], np.arange(self.order)[:, None]].tolist()
-        return self._conj[g][a]
+        return self._conj
+
+    def conj_masks(self, elements):
+        """The bitmask of S^g for every g, where S has these elements (a
+        sorted tuple); masks[0] is S itself.  Memoised per subgroup."""
+        masks = self._conj_masks.get(elements)
+        if masks is None:
+            masks = self._conj_masks[elements] = [
+                sum(1 << row[a] for a in elements) for row in self.conj_table()
+            ]
+        return masks
+
+    def coset_minima(self, elements):
+        """least[x] = the least element of the coset xS, where S has these
+        elements (a sorted tuple).  Memoised per subgroup."""
+        least = self._coset_minima.get(elements)
+        if least is None:
+            least = self._coset_minima[elements] = [
+                min([row[k] for k in elements]) for row in self._rows
+            ]
+        return least
 
     def power(self, a, k):
         r, x = 0, a

@@ -15,6 +15,10 @@ kernel-shrink (type c), an inclusion (type b) and a conjugation
 along.  Hom-sets can be reduced: `raw` keeps every witness element, `center_target`
 identifies g ~ g s for s in Z(G) H' (these act trivially on the induced
 functor), `full` keeps one witness per induced map H -> H'/K'.
+
+The morphism test reads bitmasks of the conjugates S^g, and induced maps
+name each coset of K' by its least element; the group memoises both per
+subgroup.
 """
 
 import itertools
@@ -84,6 +88,8 @@ def _section_elementary_abelian(H, K, p):
 class SectionMorphism:
     """A morphism of sections witnessed by a group element."""
 
+    __slots__ = ("source", "target", "g")
+
     def __init__(self, source, target, g, check=True):
         self.source = source
         self.target = target
@@ -109,14 +115,7 @@ class SectionMorphism:
 
     def induced_map_key(self):
         """The map H -> H'/K' induced by conjugation, as a tuple over H."""
-        G = self.source.group
-        Kp = set(self.target.K.elements)
-        key = []
-        for h in self.source.H.elements:
-            x = G.conj(h, self.g)
-            cs = frozenset(G.mul(x, k) for k in Kp) if Kp else frozenset([x])
-            key.append(min(cs))
-        return tuple(key)
+        return induced_map(self.source, self.target, self.g)
 
     def __repr__(self):
         return f"{self.source}--[{self.g}]-->{self.target}"
@@ -124,12 +123,19 @@ class SectionMorphism:
 
 def morphism_condition(x, y, g):
     """K' <= g^{-1} K g and g^{-1} H g <= H'."""
-    G = x.group
-    Hg = {G.conj(h, g) for h in x.H.elements}
-    if not Hg <= set(y.H.elements):
+    masks = x.H.parent.conj_masks
+    if masks(x.H.elements)[g] & ~masks(y.H.elements)[0]:
         return False
-    Kg = {G.conj(k, g) for k in x.K.elements}
-    return set(y.K.elements) <= Kg
+    return not masks(y.K.elements)[0] & ~masks(x.K.elements)[g]
+
+
+def induced_map(x, y, g):
+    """The map x.H -> G/y.K, h -> h^g y.K, as a tuple over x.H that names
+    each coset by its least element."""
+    G = x.H.parent
+    least = G.coset_minima(y.K.elements)
+    row = G.conj_table()[g]
+    return tuple([least[row[h]] for h in x.H.elements])
 
 
 class SectionCategory:
@@ -160,7 +166,7 @@ class SectionCategory:
 
     def homs(self, x, y, reduction="raw"):
         """Morphisms x -> y under the requested reduction."""
-        ck = (x.key(), y.key(), reduction)
+        ck = (x.H.elements, x.K.elements, y.H.elements, y.K.elements, reduction)
         hit = self._hom_cache.get(ck)
         if hit is not None:
             return hit
@@ -270,6 +276,21 @@ class SectionCategory:
                 spans.extend(self._maximal_spans(x1, x2, reduction))
         return spans
 
+    def _dominates(self, big, small):
+        """The span `small` factors through `big` via some h: y_small ->
+        y_big; the witness of h.compose(f) is h.g f.g."""
+        (yb, f1b, f2b), (ys, f1s, f2s) = big, small
+        want1 = f1s.induced_map_key()
+        want2 = f2s.induced_map_key()
+        mul = self.G.mul
+        for h in self.homs(ys, yb, "raw"):
+            if (
+                induced_map(ys, f1b.target, mul(h.g, f1b.g)) == want1
+                and induced_map(ys, f2b.target, mul(h.g, f2b.g)) == want2
+            ):
+                return True
+        return False
+
     def _maximal_spans(self, x1, x2, reduction="full"):
         cands = []
         for y in self.objects():
@@ -279,19 +300,7 @@ class SectionCategory:
             f2s = self.homs(y, x2, reduction)
             for f1, f2 in itertools.product(f1s, f2s):
                 cands.append((y, f1, f2))
-
-        def dominates(big, small):
-            """small factors through big via some h: y_small -> y_big."""
-            (yb, f1b, f2b), (ys, f1s_, f2s_) = big, small
-            for h in self.homs(ys, yb, "raw"):
-                if (
-                    h.compose(f1b).induced_map_key() == f1s_.induced_map_key()
-                    and h.compose(f2b).induced_map_key()
-                    == f2s_.induced_map_key()
-                ):
-                    return True
-            return False
-
+        dominates = self._dominates
         maximal = []
         for c in cands:
             if any(

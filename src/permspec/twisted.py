@@ -22,9 +22,6 @@ collapse along the quotient map to the cohomology of E/H.
 
 import itertools
 
-import numpy as np
-
-from . import modp
 from .groups import (
     GroupError,
     is_elementary_abelian,
@@ -78,15 +75,6 @@ class EAStructure:
     def kernel_of_functional(self, f):
         elems = [e for e in range(self.group.order) if self.functional_on(f, e) == 0]
         return self.group.subgroup(elems)
-
-    def functional_of_kernel(self, N):
-        """Canonical nonzero functional vanishing on the index-p subgroup N."""
-        rows = np.array([self.vec_of[e] for e in N.elements], dtype=np.int64)
-        if rows.size == 0:
-            rows = np.zeros((1, self.rank), dtype=np.int64)
-        ker = modp.nullspace(rows, self.p)  # functionals vanishing on N
-        assert len(ker) == 1, "kernel is not of index p"
-        return canonical_functional(tuple(int(c) for c in ker[0]), self.p)
 
 
 def canonical_functional(f, p):

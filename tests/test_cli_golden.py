@@ -18,6 +18,10 @@ from permspec.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+C4XC4 = '{"kind":"product","factors":[{"kind":"cyclic","n":4},{"kind":"cyclic","n":4}]}'
+# S3 is the dihedral group of order 6
+C3XS3 = '{"kind":"product","factors":[{"kind":"cyclic","n":3},{"kind":"dihedral","order":6}]}'
+
 CASES = {
     "sections_klein": ["sections", "--group", "klein"],
     "sections_d8": ["sections", "--group", "dihedral:8"],
@@ -29,6 +33,12 @@ CASES = {
     "relations_klein": ["relations", "--group", "klein"],
     "relations_d8": ["relations", "--group", "dihedral:8"],
     "relations_d16": ["relations", "--group", "dihedral:16"],
+    "maxel_q8": ["maxel", "--group", "quaternion"],
+    "relations_q8": ["relations", "--group", "quaternion"],
+    "maxel_c4xc4": ["maxel", "--group", C4XC4],
+    "relations_c4xc4": ["relations", "--group", C4XC4],
+    "maxel_c3xs3_p3": ["maxel", "--group", C3XS3, "--prime", "3"],
+    "relations_c3xs3_p3": ["relations", "--group", C3XS3, "--prime", "3"],
     "ring_klein": ["ring", "--group", "klein"],
     "ring_d8": ["ring", "--group", "dihedral:8"],
     "skeleton_klein_dot": ["skeleton", "--group", "klein", "--format", "dot"],

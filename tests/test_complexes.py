@@ -110,6 +110,41 @@ def test_cone_a_tensor_cone_b_contractible():
         assert is_contractible(cone(map_a(u)).tensor(cone(map_b(u))))
 
 
+def _verify_units_complexes():
+    """The complexes `verify units` builds, with a shift and a dual of each
+    cone, and the cone of each unit's identity (whose source has a nonzero
+    differential, unlike the unit complex 1)."""
+    out = []
+    for E, p in ((cyclic(2), 2), (cyclic(3), 3), (elementary_abelian(2, 2), 2),
+                 (elementary_abelian(3, 2), 3)):
+        for _, u in _all_units(E, p):
+            C = cone(coevaluation(u))
+            out += [C, C.shift(1), C.dual(), cone(identity_map(u))]
+    for p in (2, 3):
+        _, u = _all_units(cyclic(p), p)[0]
+        out.append(cone(map_a(u)).tensor(cone(map_b(u))))
+    return out
+
+
+def test_unchecked_complexes_keep_reduced_differentials():
+    """An unchecked complex keeps its differentials uncopied, so the paths
+    that build one must hand over int64 arrays reduced mod p: each equals
+    its own reduction and the differential of a checked (copying, reducing,
+    validating) rebuild."""
+    for C in _verify_units_complexes():
+        assert C.diffs
+        for n, d in C.diffs.items():
+            assert d.dtype == np.int64
+            assert np.array_equal(d, d % C.p)
+        same = PermComplex(C.group, C.p, C.gsets, C.diffs, check=False)
+        assert all(same.diffs[n] is d for n, d in C.diffs.items())
+        rebuilt = PermComplex(C.group, C.p, C.gsets, C.diffs)
+        assert rebuilt.diffs.keys() == C.diffs.keys()
+        for n, d in C.diffs.items():
+            assert rebuilt.diffs[n] is not d
+            assert np.array_equal(rebuilt.diffs[n], d)
+
+
 def test_master_relation():
     E, p = elementary_abelian(2, 2), 2
     ea = EAStructure(E, p)

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from permspec.groups import (
     FiniteGroup,
@@ -372,3 +372,73 @@ def test_elementary_abelian_needs_a_prime_and_a_rank(p, rank):
         group_from_spec({"kind": "elementary_abelian", "p": p, "rank": rank})
     with pytest.raises(GroupError, match="rank >= 0"):
         elementary_abelian(p, rank)
+
+
+# -- perturbed Cayley tables are refused ------------------------------------------------
+
+PERTURB_POOL = POOL + [("D12", dihedral(12)), ("C2xC4", product(cyclic(2), cyclic(4)))]
+
+
+def _refuse(t, match):
+    with pytest.raises(GroupError, match=match):
+        FiniteGroup(t)
+    with pytest.raises(GroupError, match=match):
+        group_from_spec({"kind": "table", "table": t.tolist()})
+
+
+def _is_associative(t):
+    n = len(t)
+    return all(
+        t[t[a][b]][c] == t[a][t[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PERTURB_POOL), st.data())
+def test_table_with_two_entries_of_a_row_swapped_is_refused(named, data):
+    _, G = named
+    n = G.order
+    t = G.table.copy()
+    r = data.draw(st.integers(0, n - 1))
+    a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    t[r, a], t[r, b] = t[r, b], t[r, a]
+    # the row stays a permutation, so a column repeats an entry unless the
+    # swap already moved an entry of the identity's row or column
+    _refuse(t, "identity" if 0 in (r, a, b) else "permutations")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PERTURB_POOL), st.data())
+def test_table_with_the_identity_moved_is_refused(named, data):
+    _, G = named
+    n = G.order
+    sigma = np.array(data.draw(st.permutations(range(n))))
+    assume(sigma[0] != 0)
+    # relabel every element x as sigma[x]: the same group, identity at sigma[0]
+    t = np.empty_like(G.table)
+    t[sigma[:, None], sigma[None, :]] = sigma[G.table]
+    assert _is_associative(t.tolist())
+    _refuse(t, "identity")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PERTURB_POOL), st.data())
+def test_table_with_associativity_broken_is_refused(named, data):
+    _, G = named
+    n = G.order
+    t = G.table
+    # a 2x2 Latin subsquare away from the identity's row and column: swapping
+    # its two symbols keeps a Latin square with identity 0
+    intercalates = [
+        (a, b, c, d)
+        for a, b in itertools.combinations(range(1, n), 2)
+        for c, d in itertools.combinations(range(1, n), 2)
+        if t[a, c] == t[b, d] and t[a, d] == t[b, c]
+    ]
+    assume(intercalates)
+    a, b, c, d = data.draw(st.sampled_from(intercalates))
+    t = t.copy()
+    t[a, c], t[a, d], t[b, c], t[b, d] = t[a, d], t[a, c], t[b, d], t[b, c]
+    assume(not _is_associative(t.tolist()))
+    _refuse(t, "associativity")

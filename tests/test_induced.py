@@ -39,6 +39,8 @@ from permspec.twisted import (
     res_hom,
 )
 
+from references import functional_of_kernel
+
 GROUPS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 
 
@@ -47,7 +49,7 @@ GROUPS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 
 def _ref_quotient_coordinate(src_ea, tgt_ea, proj, N):
     p = src_ea.p
-    f = src_ea.functional_of_kernel(N)
+    f = functional_of_kernel(src_ea, N)
     fbar = []
     pm = np.asarray(proj.map)
     for b in tgt_ea.basis:
@@ -97,7 +99,7 @@ def _ref_res_hom(Esub, E, H, p):
             assert sign == "zp"
             images.append(tgt.presentation.zero())
             continue
-        f = src.ea.functional_of_kernel(N)
+        f = functional_of_kernel(src.ea, N)
         fsub = tuple(src.ea.functional_on(f, int(embed[b])) for b in tgt.ea.basis)
         lam = leading_scalar(fsub, p)
         csub = Coordinate(tgt.ea, canonical_functional(fsub, p))

@@ -1,20 +1,31 @@
 import itertools
 import random
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from permspec.groups import (
     GroupError,
     cyclic,
     dihedral,
     elementary_abelian,
+    p_subgroups,
     product,
     quaternion,
 )
+from permspec import sections
+from permspec.spectra import glue
 from permspec.sections import (
     SectionCategory,
     SectionMorphism,
     SectionObject,
+    induced_map,
     morphism_condition,
 )
 
@@ -202,3 +213,193 @@ def test_maxel_mutually_incomparable():
         for x, y in itertools.combinations(reps, 2):
             assert not (cat.has_hom(x, y) and not cat.has_hom(y, x))
             assert not (cat.has_hom(y, x) and not cat.has_hom(x, y))
+
+
+# -- the bitmask morphism test against the set-based one it replaced -------------------
+
+
+def _ref_morphism_condition(x, y, g):
+    """K' <= g^{-1} K g and g^{-1} H g <= H', on Python sets of conjugates."""
+    G = x.group
+    Hg = {G.conj(h, g) for h in x.H.elements}
+    if not Hg <= set(y.H.elements):
+        return False
+    Kg = {G.conj(k, g) for k in x.K.elements}
+    return set(y.K.elements) <= Kg
+
+
+def _ref_induced_map_key(m):
+    """The map H -> H'/K' induced by conjugation, as a tuple over H, naming
+    each coset x K' by the least element of a frozenset built from it."""
+    G = m.source.group
+    Kp = set(m.target.K.elements)
+    key = []
+    for h in m.source.H.elements:
+        x = G.conj(h, m.g)
+        cs = frozenset(G.mul(x, k) for k in Kp) if Kp else frozenset([x])
+        key.append(min(cs))
+    return tuple(key)
+
+
+def _ref_dominates(cat, big, small):
+    """small factors through big via some h: y_small -> y_big, with the
+    composites built as morphisms and compared by their set-based keys."""
+    (yb, f1b, f2b), (ys, f1s, f2s) = big, small
+    for h in cat.homs(ys, yb, "raw"):
+        if (
+            _ref_induced_map_key(h.compose(f1b)) == _ref_induced_map_key(f1s)
+            and _ref_induced_map_key(h.compose(f2b)) == _ref_induced_map_key(f2s)
+        ):
+            return True
+    return False
+
+
+REFERENCE_GROUPS = [
+    ("D8", dihedral(8), 2),
+    ("Q8", quaternion(), 2),
+    ("C4xC4", product(cyclic(4), cyclic(4)), 2),
+    ("C2^3", elementary_abelian(2, 3), 2),
+    ("C3xS3", product(cyclic(3), dihedral(6)), 3),
+    # in the groups above h^g = h^(g^-1) for every h in a p-subgroup, so
+    # conjugating by g or by its inverse cannot be told apart there
+    ("D16", dihedral(16), 2),
+]
+REFERENCE_CATEGORIES = [
+    (name, SectionCategory(G, p)) for name, G, p in REFERENCE_GROUPS
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(REFERENCE_CATEGORIES), st.data())
+def test_morphism_condition_matches_set_reference(named, data):
+    _, cat = named
+    objs = cat.objects()
+    x = data.draw(st.sampled_from(objs))
+    y = data.draw(st.sampled_from(objs))
+    g = data.draw(st.integers(0, cat.G.order - 1))
+    got = morphism_condition(x, y, g)
+    assert got is _ref_morphism_condition(x, y, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(REFERENCE_CATEGORIES), st.data())
+def test_conjugation_masks_are_the_conjugates(named, data):
+    _, cat = named
+    G = cat.G
+    S = data.draw(st.sampled_from(p_subgroups(G, cat.p)))
+    masks = G.conj_masks(S.elements)
+    assert len(masks) == G.order
+    for g in range(G.order):
+        assert masks[g] == sum(1 << G.conj(a, g) for a in S.elements)
+        assert masks[g] == sum(1 << a for a in S.conjugate(g).elements)
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in REFERENCE_GROUPS])
+def test_category_matches_set_reference(name, monkeypatch):
+    """Hom-sets of every reduction, maximal sections and maximal relations
+    equal those of a category whose morphism test, induced maps and
+    domination test are the set-based ones."""
+    G, p = next((G, p) for n, G, p in REFERENCE_GROUPS if n == name)
+    cat = SectionCategory(G, p)
+    objs = cat.objects()
+    homs = {
+        (i, j, red): [m.g for m in cat.homs(x, y, red)]
+        for i, x in enumerate(objs)
+        for j, y in enumerate(objs)
+        for red in ("raw", "center_target", "full")
+    }
+    maxel = [x.key() for x in cat.maxel()]
+    rels = [
+        (r.apex.key(), r.f1.g, r.f1.target.key(), r.f2.g, r.f2.target.key())
+        for r in cat.maximal_relations()
+    ]
+    monkeypatch.setattr(sections, "morphism_condition", _ref_morphism_condition)
+    monkeypatch.setattr(SectionMorphism, "induced_map_key", _ref_induced_map_key)
+    monkeypatch.setattr(SectionCategory, "_dominates", _ref_dominates)
+    ref = SectionCategory(G, p)
+    robjs = ref.objects()
+    assert [x.key() for x in robjs] == [x.key() for x in objs]
+    for (i, j, red), gs in homs.items():
+        assert [m.g for m in ref.homs(robjs[i], robjs[j], red)] == gs
+    assert [x.key() for x in ref.maxel()] == maxel
+    assert [
+        (r.apex.key(), r.f1.g, r.f1.target.key(), r.f2.g, r.f2.target.key())
+        for r in ref.maximal_relations()
+    ] == rels
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(REFERENCE_CATEGORIES), st.data())
+def test_induced_map_matches_set_reference(named, data):
+    _, cat = named
+    objs = cat.objects()
+    x = data.draw(st.sampled_from(objs))
+    y = data.draw(st.sampled_from(objs))
+    g = data.draw(st.integers(0, cat.G.order - 1))
+    m = SectionMorphism(x, y, g, check=False)
+    assert induced_map(x, y, g) == _ref_induced_map_key(m)
+    assert m.induced_map_key() == _ref_induced_map_key(m)
+
+
+def _spans(cat, x1, x2):
+    return [
+        (y, f1, f2)
+        for y in cat.objects()
+        for f1 in cat.homs(y, x1, "raw")
+        for f2 in cat.homs(y, x2, "raw")
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(REFERENCE_CATEGORIES), st.data())
+def test_dominates_matches_reference(named, data):
+    """The domination test on spans between two maximal sections equals the
+    one that builds h.compose(f) and compares set-based keys."""
+    _, cat = named
+    maxel = cat.maxel()
+    x1 = data.draw(st.sampled_from(maxel))
+    x2 = data.draw(st.sampled_from(maxel))
+    spans = _spans(cat, x1, x2)
+    assume(spans)
+    big = data.draw(st.sampled_from(spans))
+    small = data.draw(st.sampled_from(spans))
+    assert cat._dominates(big, small) is _ref_dominates(cat, big, small)
+
+
+def test_dominates_reference_sees_both_answers():
+    """Over all spans into the maximal sections of D8, both tests agree and
+    each answer occurs, so the comparison is not vacuous."""
+    cat = SectionCategory(dihedral(8), 2)
+    seen = set()
+    for x1, x2 in itertools.combinations_with_replacement(cat.maxel(), 2):
+        spans = _spans(cat, x1, x2)
+        for big in spans[::3]:
+            for small in spans[::2]:
+                got = cat._dominates(big, small)
+                assert got is _ref_dominates(cat, big, small)
+                seen.add(got)
+    assert seen == {True, False}
+
+
+# -- glue depends on the group it is given, not on earlier calls ---------------------------
+
+
+def test_glue_of_a_relabelled_equal_table_matches_a_fresh_run():
+    """C2 x C2 and dihedral(4) share their multiplication table but not their
+    element names; glueing one after the other in one process gives the
+    second the output of a fresh process, on sections of its own group."""
+    klein, d4 = product(cyclic(2), cyclic(2)), dihedral(4)
+    assert klein.table.tolist() == d4.table.tolist()
+    glue(klein, 2)
+    glued = glue(d4, 2)
+    assert all(sec.H.parent is d4 for sec, _ in glued.sections)
+    src = str(pathlib.Path(sections.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys; from permspec.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "glue", "--group", "dihedral:4", "--format", "json"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert glued.to_json() == json.loads(fresh.stdout)

@@ -16,6 +16,8 @@ from permspec.twisted import (
     res_hom,
 )
 
+from references import functional_of_kernel
+
 
 def _fmt(pres, f):
     return pres.format(f if isinstance(f, dict) else dict(f))
@@ -33,7 +35,7 @@ def test_coordinates_and_functionals():
         for c in coords:
             assert leading_scalar(c.f, p) == 1
             assert c.kernel.order == p ** (r - 1)
-            assert ea.functional_of_kernel(c.kernel) == c.f
+            assert functional_of_kernel(ea, c.kernel) == c.f
 
 
 def test_klein_presentations():
