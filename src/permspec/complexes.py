@@ -681,28 +681,27 @@ def res_map(f, H):
 def master_relation_map(u1, u2, u3, lam3=1):
     """a1 b2 b3 + b1 a2 b3 + lam3 b1 b2 a3 as one map 1 -> u1 (x) u2[-2'] (x) u3[-2'].
 
-    The three parenthesizations target equal complexes because the shifts
-    involved are even (or p = 2), so the components can be added outright.
+    The shifts involved are even (or p = 2), so every term targets this one
+    complex T: a term's degree-0 vector is the Kronecker product of its
+    factors' vectors, placed at the block of the u-degrees they live in.
     """
-    one = unit_complex(u1.group, u1.p)
-
-    def term(m1, m2, m3):
-        return m1(u1).tensor(m2(u2)).tensor(m3(u3))
-
-    t1 = term(map_a, map_b, map_b)
-    t2 = term(map_b, map_a, map_b)
-    t3 = term(map_b, map_b, map_a).scale(lam3)
-    for other in (t2, t3):
-        assert all(
-            t1.target.dim(n) == other.target.dim(n)
-            for n in set(t1.target.degrees()) | set(other.target.degrees())
-        )
-        for n in t1.target.diffs:
-            assert np.array_equal(t1.target.diff(n), other.target.diff(n)), \
-                "tensor-shift targets disagree"
-    total = t1.add(t2).add(t3)
+    p, d = u1.p, two_prime(u1.p)
+    s2, s3 = u2.shift(-d), u3.shift(-d)
+    left = u1.tensor(s2)
+    T = left.tensor(s3)
+    outer = _block_offsets(left, s3, 0)
+    vec = np.zeros(T.dim(0), dtype=np.int64)
+    for scalar, maps in ((1, (map_a, map_b, map_b)), (1, (map_b, map_a, map_b)),
+                         (lam3, (map_b, map_b, map_a))):
+        # a lives in u-degree 0, b in u-degree 2'
+        e1, e2, e3 = (0 if m is map_a else d for m in maps)
+        inner = _block_offsets(u1, s2, e1 + e2 - d)[e1, e2 - d][0]
+        start = outer[e1 + e2 - d, e3 - d][0] + inner * u3.dim(e3)
+        v1, v2, v3 = (m(u).comp(0)[:, 0] for m, u in zip(maps, (u1, u2, u3)))
+        kron = np.kron(np.kron(v1, v2), v3)
+        vec[start:start + kron.size] += scalar * kron
     return EquivariantChainMap(
-        one, t1.target, 0, total.components
+        unit_complex(u1.group, p), T, 0, {0: (vec % p).reshape(-1, 1)}
     )
 
 

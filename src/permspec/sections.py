@@ -339,28 +339,6 @@ class SectionCategory:
     def identity(self, x):
         return SectionMorphism(x, x, 0, check=False)
 
-    def to_dot(self, reduction="center_target"):
-        objs = self.objects()
-        lines = ["digraph sections {"]
-        names = {}
-        for i, x in enumerate(objs):
-            names[x.key()] = f"s{i}"
-            lines.append(
-                f'  s{i} [label="({x.H.order},{x.K.order})"];'
-            )
-        for x in objs:
-            for y in objs:
-                if x is y:
-                    continue
-                n = len(self.homs(x, y, reduction))
-                if n:
-                    lines.append(
-                        f"  {names[x.key()]} -> {names[y.key()]} "
-                        f'[label="{n}"];'
-                    )
-        lines.append("}")
-        return "\n".join(lines)
-
 
 class SpanRelation:
     """A span x1 <-f1- y -f2-> x2 between maximal sections."""

@@ -20,6 +20,7 @@ the skeletons of the maximal elementary abelian p-sections, identifying the
 images of every maximal span of the section category (union-find on points).
 """
 
+import functools
 import itertools
 
 from .groups import (
@@ -250,6 +251,18 @@ def _line_ideal(spec, gen_elem):
     return HomogeneousIdeal(pres, gens)
 
 
+def _line_of(spec, ideal):
+    """The common kernel of the coordinates whose zp variable lies in the
+    ideal, as a sorted tuple, when it is a line; else None.  On a rank-1
+    stratum the zero ideal gives the whole group: rule it out first."""
+    ea = spec.ea
+    fs = [spec.coordinate[lbl].f for lbl, v in spec.plus_of.items()
+          if ideal.member(spec.presentation.var(v))]
+    line = tuple(x for x in range(ea.group.order)
+                 if not any(ea.functional_on(f, x) for f in fs))
+    return line if len(line) == ea.p else None
+
+
 def _token_ideal(spec):
     """Principal ideal of an irreducible binary quadric in the first two
     independent coordinates: x^2+xy+y^2 for p=2, x^2 - c*y^2 (c a non-square)
@@ -276,22 +289,30 @@ def _max_ideal(spec):
     return HomogeneousIdeal(pres, [pres.var(v) for v in pres.varnames])
 
 
+def _move_ideal(ideal, spec_from, spec_to, iota):
+    """Carry an ideal of spec_from into spec_to along an injective group map
+    iota: A -> B of stratum quotients, iota[a] the image of a.
+
+    An isomorphism moves the ideal through the ring map of its inverse; a
+    proper injection contracts it along the restriction spec_to -> spec_from.
+    """
+    assert len(set(iota)) == len(iota), "stratum comparison is not injective"
+    if len(iota) == spec_to.ea.group.order:
+        inv = sorted(range(len(iota)), key=iota.__getitem__)  # inv[iota[a]] = a
+        return induced_hom(spec_from, spec_to, inv).apply_ideal(ideal)
+    return contract(induced_hom(spec_to, spec_from, iota), ideal)
+
+
 def _stratum_shift(E, S_P, S_Q, p, ideal):
     """closure_ideal from the S_P-stratum into the S_Q-stratum (S_P <= S_Q),
     expressed in the canonical S_Q-stratum ring."""
-    Qp, projp, specp = stratum_data(E, S_P, p)
+    Qp, projp, _ = stratum_data(E, S_P, p)
     Hbar = Qp.subgroup(sorted({int(projp.map[x]) for x in S_Q.elements}))
-    cl = closure_ideal(Qp, Hbar, ideal, p)
-    # move cl from the ring of (E/S_P)/(S_Q/S_P) to the ring of E/S_Q
-    Q2, proj2 = quotient(Qp, Hbar)
-    A_spec = local_ring(Q2, Q2.trivial_subgroup(), p)
-    Qq, projq, specq = stratum_data(E, S_Q, p)
-    theta = [int(proj2.map[int(projp.map[x])]) for x in projq.reps]
-    assert len(set(theta)) == Qq.order
-    hom = induced_hom(A_spec, specq, theta)
-    out = HomogeneousIdeal(A_spec.presentation, [dict(g) for g in cl.generators],
-                           check=False)
-    return hom.apply_ideal(out)
+    # the closure lives in the ring of (E/S_P)/(S_Q/S_P); move it to E/S_Q
+    Q2, proj2, spec2 = stratum_data(Qp, Hbar, p)
+    _, projq, specq = stratum_data(E, S_Q, p)
+    iota = [int(projq.map[projp.reps[proj2.reps[r]]]) for r in range(Q2.order)]
+    return _move_ideal(closure_ideal(Qp, Hbar, ideal, p), spec2, specq, iota)
 
 
 # -- skeleton construction ------------------------------------------------------------
@@ -315,6 +336,17 @@ def skeleton(E, p, level="rational", cap_rank=DEFAULT_RANK_CAP):
     generics eta(S); "rational" adds the prime-field rational points and one
     family token per stratum of rank >= 2.
     """
+    return _skeleton_on(E, p, level, _named_points(E, p, level, cap_rank))
+
+
+def _skeleton_on(E, p, level, points):
+    skel = SpectrumSkeleton(points, _specialization_order(E, p, points))
+    skel.ambient, skel.p, skel.level = E, p, level
+    return skel
+
+
+def _named_points(E, p, level, cap_rank):
+    """The named points of skeleton(), stratum by stratum."""
     if level not in ("strata", "rational"):
         raise ValueError(f"unknown skeleton level {level!r}")
     if not is_elementary_abelian(E, p):
@@ -350,10 +382,7 @@ def skeleton(E, p, level="rational", cap_rank=DEFAULT_RANK_CAP):
             points.append(
                 SpectrumPoint(S, _token_ideal(spec), KIND_FAMILY, f"token({slbl})")
             )
-    order = _specialization_order(E, p, points)
-    skel = SpectrumSkeleton(points, order)
-    skel.ambient, skel.p, skel.level = E, p, level
-    return skel
+    return points
 
 
 def _specialization_order(E, p, points):
@@ -380,31 +409,12 @@ def _specialization_order(E, p, points):
             continue
         if P.kind == KIND_RATIONAL:
             _, projP, specP = stratum_data(E, P.stratum, p)
-            # recover the line generator from the ideal's vanishing pattern
-            gen = next(
-                g
-                for (_, g) in _lines(specP)
-                if _line_ideal(specP, g) == P.ideal
-            )
-            pre = E.subgroup(
-                [
-                    x
-                    for x in range(E.order)
-                    if int(projP.map[x])
-                    in {
-                        specP.ea.elem_of[
-                            tuple(
-                                (k * c) % p for c in specP.ea.vec_of[gen]
-                            )
-                        ]
-                        for k in range(p)
-                    }
-                ]
-            )
+            line = _line_of(specP, P.ideal)
+            pre = tuple(x for x in range(E.order) if int(projP.map[x]) in line)
             for j, Q in enumerate(points):
                 if Q.kind != KIND_VERY_CLOSED:
                     continue
-                if Q.stratum.elements in (P.stratum.elements, pre.elements):
+                if Q.stratum.elements in (P.stratum.elements, pre):
                     order.add((i, j))
             continue
         # general path: family tokens
@@ -429,7 +439,11 @@ def _specialization_order(E, p, points):
 
 
 class SectionPlatform:
-    """A section (H, K) realized as an elementary abelian quotient group."""
+    """A section (H, K) realized as an elementary abelian quotient group Q.
+
+    q_of sends each element of H to Q, lift each element of Q to the least
+    element of H over it; points and their order (.skel) are built on use.
+    """
 
     def __init__(self, sec, p, level="rational", cap_rank=DEFAULT_RANK_CAP):
         self.sec = sec
@@ -437,22 +451,20 @@ class SectionPlatform:
         self.level = level
         self.cap_rank = cap_rank
         Hgrp, embed = subgroup_as_group(sec.H)
-        self.Hgrp = Hgrp
-        self.embed = [int(x) for x in embed]
-        self.index = {x: i for i, x in enumerate(self.embed)}
-        Kin = Hgrp.subgroup(sorted(self.index[int(k)] for k in sec.K.elements))
-        self.Q, self.proj = quotient(Hgrp, Kin)
-        self._skel = None
+        embed = [int(x) for x in embed]
+        index = {x: i for i, x in enumerate(embed)}
+        Kin = Hgrp.subgroup(sorted(index[int(k)] for k in sec.K.elements))
+        self.Q, proj = quotient(Hgrp, Kin)
+        self.q_of = {x: int(proj.map[i]) for i, x in enumerate(embed)}
+        self.lift = [embed[r] for r in proj.reps]
 
-    def to_Q(self, x):
-        """Platform image of a group element of H."""
-        return int(self.proj.map[self.index[int(x)]])
+    @functools.cached_property
+    def points(self):
+        return _named_points(self.Q, self.p, self.level, self.cap_rank)
 
-    @property
+    @functools.cached_property
     def skel(self):
-        if self._skel is None:
-            self._skel = skeleton(self.Q, self.p, self.level, self.cap_rank)
-        return self._skel
+        return _skeleton_on(self.Q, self.p, self.level, self.points)
 
 
 def _classify(spec, ideal):
@@ -461,9 +473,9 @@ def _classify(spec, ideal):
         return KIND_VERY_CLOSED
     if ideal.is_zero():
         return KIND_STRATUM_GENERIC
-    for _, gen in _lines(spec):
-        if _line_ideal(spec, gen) == ideal:
-            return KIND_RATIONAL
+    line = _line_of(spec, ideal)
+    if line is not None and _line_ideal(spec, line[1]) == ideal:
+        return KIND_RATIONAL
     return KIND_CUSTOM
 
 
@@ -471,36 +483,22 @@ def transport_point(m, src_plat, tgt_plat, point):
     """Image of a skeleton point under the spectrum map of a section morphism.
 
     The morphism witness g conjugates the source section into the target one;
-    the stratum maps to the image of its preimage, and the ideal moves through
-    the ring map induced by the injection of stratum quotients (an isomorphism
-    when the ranks agree, a contraction otherwise).
+    the stratum maps to the image of its preimage, and the ideal moves along
+    the injection of stratum quotients (_move_ideal).
     """
     G = m.source.group
     g = m.g
     Sbar = set(point.stratum.elements)
-    S_G = [
-        src_plat.embed[a]
-        for a in range(src_plat.Hgrp.order)
-        if int(src_plat.proj.map[a]) in Sbar
-    ]
-    T_G = [G.conj(int(x), g) for x in S_G]
-    Tbar = tgt_plat.Q.subgroup(sorted({tgt_plat.to_Q(x) for x in T_G}))
+    Tbar = tgt_plat.Q.subgroup(sorted({
+        tgt_plat.q_of[G.conj(x, g)] for x, q in src_plat.q_of.items() if q in Sbar
+    }))
     Q1, proj1, spec1 = stratum_data(src_plat.Q, point.stratum, src_plat.p)
     Q2, proj2, spec2 = stratum_data(tgt_plat.Q, Tbar, tgt_plat.p)
-    iota = []
-    for y in proj1.reps:
-        x = G.conj(src_plat.embed[src_plat.proj.reps[y]], g)
-        iota.append(int(proj2.map[tgt_plat.to_Q(x)]))
-    assert len(set(iota)) == Q1.order, "stratum comparison is not injective"
-    if Q1.order == Q2.order:
-        inv = [0] * Q2.order
-        for q1, q2 in enumerate(iota):
-            inv[q2] = q1
-        hom = induced_hom(spec1, spec2, inv)
-        ideal_t = hom.apply_ideal(point.ideal)
-    else:
-        hom = induced_hom(spec2, spec1, iota)
-        ideal_t = contract(hom, point.ideal)
+    iota = [
+        int(proj2.map[tgt_plat.q_of[G.conj(src_plat.lift[y], g)]])
+        for y in proj1.reps
+    ]
+    ideal_t = _move_ideal(point.ideal, spec1, spec2, iota)
     kind = _classify(spec2, ideal_t)
     if point.kind == KIND_FAMILY and Q1.order == Q2.order and kind == KIND_CUSTOM:
         # an isomorphic transport carries the non-rational family to the
@@ -523,13 +521,13 @@ def skeleton_map(m, p, level="rational", cap_rank=DEFAULT_RANK_CAP):
     return f
 
 
-def _locate(skel, pt, required=True):
+def _locate(points, pt, required=True):
     """Index of the named point equal to pt (family tokens match as families)."""
-    for j, q in enumerate(skel.points):
+    for j, q in enumerate(points):
         if q.same_point(pt):
             return j
     if pt.kind == KIND_FAMILY:
-        for j, q in enumerate(skel.points):
+        for j, q in enumerate(points):
             if (
                 q.kind == KIND_FAMILY
                 and q.stratum.elements == pt.stratum.elements
@@ -558,9 +556,11 @@ class _UnionFind:
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
 
-    def classes(self):
-        """(members of each class, class index of each element); classes are
-        ordered by their least member, members ascending."""
+    def collapse(self, pairs):
+        """(members of each class, the pairs between distinct classes).
+
+        Classes are ordered by their least member, members ascending; pairs
+        is a relation on the elements, returned on the class indices."""
         by_root = {}
         for a in range(len(self.parent)):
             by_root.setdefault(self.find(a), []).append(a)
@@ -569,7 +569,9 @@ class _UnionFind:
         for c, ms in enumerate(members):
             for a in ms:
                 cls_of[a] = c
-        return members, cls_of
+        return members, {
+            (cls_of[a], cls_of[b]) for (a, b) in pairs if cls_of[a] != cls_of[b]
+        }
 
 
 def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP):
@@ -578,18 +580,17 @@ def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP):
     Takes one skeleton per maximal elementary abelian p-section and quotients
     the disjoint union by the identifications coming from every maximal span
     of the section category; the specialization order descends to the classes.
+    Every identification is made on the named points before any order is
+    built, so a transport that leaves them fails early.
     """
     _check_rank_cap(G, p, cap_rank)
     cat = SectionCategory(G, p)
     reps = cat.maxel()
     rels = cat.maximal_relations(reduction=reduction)
-    plats = {x.key(): SectionPlatform(x, p, level, cap_rank) for x in reps}
-    rep_index = {x.key(): i for i, x in enumerate(reps)}
-    offsets, total = [], 0
-    for x in reps:
-        offsets.append(total)
-        total += len(plats[x.key()].skel.points)
-    uf = _UnionFind(total)
+    plats = [SectionPlatform(x, p, level, cap_rank) for x in reps]
+    flat = [(ci, pt) for ci, plat in enumerate(plats) for pt in plat.points]
+    offsets = [0, *itertools.accumulate(len(plat.points) for plat in plats)]
+    uf = _UnionFind(len(flat))
     apex_plats = {}
     for rel in rels:
         akey = rel.apex.key()
@@ -598,53 +599,36 @@ def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP):
         ap = apex_plats[akey]
         located = []
         for leg in (rel.f1, rel.f2):
-            foot = rep_index[leg.target.key()]
-            fp = plats[leg.target.key()]
+            foot = reps.index(leg.target)
             ids = []
-            for pt in ap.skel.points:
-                img = transport_point(leg, ap, fp, pt)
+            for pt in ap.points:
+                img = transport_point(leg, ap, plats[foot], pt)
                 # at coarser levels an image can fall between the named
                 # points (e.g. a generic landing on an unnamed rational
                 # point); the identification is then below the resolution
                 # of the skeleton and is dropped -- except for very closed
                 # points, which are always named
-                j = _locate(fp.skel, img, required=(level != "strata"))
+                j = _locate(plats[foot].points, img, required=(level != "strata"))
                 assert j is not None or img.kind != KIND_VERY_CLOSED
                 ids.append(None if j is None else offsets[foot] + j)
             located.append(ids)
         for a, b in zip(*located):
             if a is not None and b is not None:
                 uf.union(a, b)
-    # collapse to classes
-    classes, cls_of = uf.classes()
-
-    def local_of(gid):
-        ci = max(i for i, off in enumerate(offsets) if off <= gid)
-        return ci, gid - offsets[ci]
-
+    classes, order = uf.collapse(
+        (offsets[ci] + a, offsets[ci] + b)
+        for ci, plat in enumerate(plats)
+        for (a, b) in plat.skel.order
+    )
     points, provenance = [], {}
     for c, members in enumerate(classes):
-        kinds = set()
-        prov = []
-        for gid in members:
-            ci, li = local_of(gid)
-            lp = plats[reps[ci].key()].skel.points[li]
-            kinds.add(lp.kind)
-            prov.append((ci, lp.label))
-        ci, li = local_of(members[0])
-        rp = plats[reps[ci].key()].skel.points[li]
+        kinds = {flat[gid][1].kind for gid in members}
+        ci, rp = flat[members[0]]
         kind = KIND_VERY_CLOSED if KIND_VERY_CLOSED in kinds else rp.kind
         points.append(
             SpectrumPoint(rp.stratum, rp.ideal, kind, f"c{ci}:{rp.label}")
         )
-        provenance[c] = prov
-    order = set()
-    for ci, x in enumerate(reps):
-        skel = plats[x.key()].skel
-        for (a, b) in skel.order:
-            ca, cb = cls_of[offsets[ci] + a], cls_of[offsets[ci] + b]
-            if ca != cb:
-                order.add((ca, cb))
+        provenance[c] = [(flat[gid][0], flat[gid][1].label) for gid in members]
     glued = SpectrumSkeleton(
         points, order, provenance, sections=[(x, i) for i, x in enumerate(reps)]
     )
@@ -706,28 +690,22 @@ def fold(skel, matrix):
         w = tuple(sum(matrix[i][k] * v[k] for k in range(r)) % p for i in range(r))
         theta[x] = ea.elem_of[w]
     assert len(set(theta.values())) == E.order, "matrix is not invertible mod p"
-    theta_inv = {v: k for k, v in theta.items()}
     uf = _UnionFind(len(skel.points))
     for i, pt in enumerate(skel.points):
         S2 = E.subgroup(sorted(theta[x] for x in pt.stratum.elements))
         _, proj1, spec1 = stratum_data(E, pt.stratum, p)
         _, proj2, spec2 = stratum_data(E, S2, p)
-        # group iso E/S -> E/S2 induced by theta; the ring map goes backwards
-        iota = [int(proj1.map[theta_inv[x]]) for x in proj2.reps]
-        hom = induced_hom(spec1, spec2, iota)
+        # the group iso E/S -> E/S2 induced by theta
+        iota = [int(proj2.map[theta[x]]) for x in proj1.reps]
         moved = SpectrumPoint(
-            S2, hom.apply_ideal(pt.ideal), pt.kind, pt.label + "'"
+            S2, _move_ideal(pt.ideal, spec1, spec2, iota), pt.kind, pt.label + "'"
         )
-        uf.union(i, _locate(skel, moved))
-    classes, cls_of = uf.classes()
+        uf.union(i, _locate(skel.points, moved))
+    classes, order = uf.collapse(skel.order)
     points, provenance = [], {}
     for c, members in enumerate(classes):
         points.append(skel.points[members[0]])
         provenance[c] = [(0, skel.points[i].label) for i in members]
-    order = set()
-    for (a, b) in skel.order:
-        if cls_of[a] != cls_of[b]:
-            order.add((cls_of[a], cls_of[b]))
     out = SpectrumSkeleton(points, order, provenance)
     out.ambient, out.p, out.level = E, p, skel.level
     return out

@@ -204,10 +204,15 @@ def _build_local_ring(ea, H):
     for lbl in sorted(minus_of):
         variables.append((minus_of[lbl], -d))
     pres = GradedPresentation(p, variables)
-    rels = [
-        _master_instance(pres, plus_of, (c1, 1), (c2, 1), (c3, lam3))
-        for c1, c2, c3, lam3 in dependent_triples(ea)
-    ]
+
+    def slot(coord, lam):
+        # N >= H: a := lam*zp_N, b := 1; otherwise a := 1, b := zm_N / lam
+        lbl = coord.label
+        if lbl in plus_of:
+            return pscale(pres.var(f"zp_{lbl}"), lam, p), pres.one()
+        return pres.one(), pscale(pres.var(f"zm_{lbl}"), pow(lam, p - 2, p), p)
+
+    rels = [_master_instance(p, slot, *t) for t in dependent_triples(ea)]
     rels = [r for r in rels if r]
     # discard duplicate relations by normal form of the polynomials
     uniq, seen = [], set()
@@ -220,24 +225,10 @@ def _build_local_ring(ea, H):
     return LocalRingSpec(ea, H, pres2, plus_of, minus_of)
 
 
-def _master_instance(pres, plus_of, *slots):
-    """a1*b2*b3 + b1*a2*b3 + lam3*b1*b2*a3, divided by the invertible factors.
-
-    Each slot is (coordinate, lam); for N >= H substitute a := lam*zp_N, b := 1
-    and otherwise a := 1, b := zm_N / lam.
-    """
-    p = pres.p
-    abs_ = []
-    for coord, lam in slots:
-        lbl = coord.label
-        if lbl in plus_of:
-            a = pscale(pres.var(f"zp_{lbl}"), lam, p)
-            b = pres.one()
-        else:
-            a = pres.one()
-            b = pscale(pres.var(f"zm_{lbl}"), pow(lam, p - 2, p), p)
-        abs_.append((a, b))
-    (a1, b1), (a2, b2), (a3, b3) = abs_
+def _master_instance(p, slot, c1, c2, c3, lam3):
+    """a1*b2*b3 + b1*a2*b3 + lam3*b1*b2*a3 in the ring whose substitution
+    slot(coordinate, lam) gives the pair (a, b) with the scalar lam folded in."""
+    (a1, b1), (a2, b2), (a3, b3) = slot(c1, 1), slot(c2, 1), slot(c3, lam3)
     t1 = pmul(a1, pmul(b2, b3, p), p)
     t2 = pmul(b1, pmul(a2, b3, p), p)
     t3 = pmul(b1, pmul(b2, a3, p), p)
@@ -264,14 +255,13 @@ def present_Rtotal(E, p):
     variables = [(f"a_{c.label}", 0, twist(c.label)) for c in coords]
     variables += [(f"b_{c.label}", -d, twist(c.label)) for c in coords]
     pres = GradedPresentation(p, variables, twist_len=nt)
-    a = lambda c: pres.var(f"a_{c.label}")
-    b = lambda c: pres.var(f"b_{c.label}")
-    rels = []
-    for c1, c2, c3, lam3 in dependent_triples(ea):
-        t1 = pmul(a(c1), pmul(b(c2), b(c3), p), p)
-        t2 = pmul(b(c1), pmul(a(c2), b(c3), p), p)
-        t3 = pscale(pmul(b(c1), pmul(b(c2), a(c3), p), p), lam3, p)
-        rels.append(padd(padd(t1, t2, p), t3, p))
+
+    def slot(coord, lam):
+        # a := lam*a_N, b := b_N
+        lbl = coord.label
+        return pscale(pres.var(f"a_{lbl}"), lam, p), pres.var(f"b_{lbl}")
+
+    rels = [_master_instance(p, slot, *t) for t in dependent_triples(ea)]
     return GradedPresentation(p, variables, relations=rels, twist_len=nt)
 
 

@@ -5,6 +5,15 @@ needs."""
 import numpy as np
 
 from permspec import modp
+from permspec.spectra import (
+    KIND_CUSTOM,
+    KIND_RATIONAL,
+    KIND_STRATUM_GENERIC,
+    KIND_VERY_CLOSED,
+    _line_ideal,
+    _lines,
+    stratum_data,
+)
 from permspec.twisted import canonical_functional
 
 
@@ -17,3 +26,27 @@ def functional_of_kernel(ea, N):
     ker = modp.nullspace(rows, ea.p)  # functionals vanishing on N
     assert len(ker) == 1, "kernel is not of index p"
     return canonical_functional(tuple(int(c) for c in ker[0]), ea.p)
+
+
+def classify_by_line_search(spec, ideal):
+    """Kind of an ideal of a stratum ring, found by comparing it with the
+    ideal of every rational line of the stratum."""
+    pres = spec.presentation
+    if all(ideal.member(pres.var(v)) for v in pres.varnames):
+        return KIND_VERY_CLOSED
+    if ideal.is_zero():
+        return KIND_STRATUM_GENERIC
+    for _, gen in _lines(spec):
+        if _line_ideal(spec, gen) == ideal:
+            return KIND_RATIONAL
+    return KIND_CUSTOM
+
+
+def rational_preimage_by_search(E, p, point):
+    """The subgroup of E over the line of a rational point: the line found by
+    searching every rational line for the point's ideal, then its multiples."""
+    _, proj, spec = stratum_data(E, point.stratum, p)
+    gen = next(g for (_, g) in _lines(spec) if _line_ideal(spec, g) == point.ideal)
+    ea = spec.ea
+    line = {ea.elem_of[tuple((k * c) % p for c in ea.vec_of[gen])] for k in range(p)}
+    return E.subgroup([x for x in range(E.order) if int(proj.map[x]) in line])

@@ -21,6 +21,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 C4XC4 = '{"kind":"product","factors":[{"kind":"cyclic","n":4},{"kind":"cyclic","n":4}]}'
 # S3 is the dihedral group of order 6
 C3XS3 = '{"kind":"product","factors":[{"kind":"cyclic","n":3},{"kind":"dihedral","order":6}]}'
+D8XC2 = '{"kind":"product","factors":[{"kind":"dihedral","order":8},{"kind":"cyclic","n":2}]}'
 
 CASES = {
     "sections_klein": ["sections", "--group", "klein"],
@@ -42,16 +43,25 @@ CASES = {
     "ring_klein": ["ring", "--group", "klein"],
     "ring_d8": ["ring", "--group", "dihedral:8"],
     "skeleton_klein_dot": ["skeleton", "--group", "klein", "--format", "dot"],
+    "skeleton_c3_2_p3_json": [
+        "skeleton", "--group", "ea:3:2", "--prime", "3", "--format", "json"],
+    "skeleton_c2_3_strata_json": [
+        "skeleton", "--group", "ea:2:3", "--level", "strata", "--format", "json"],
     "glue_d8_json": ["glue", "--group", "dihedral:8", "--format", "json"],
+    "glue_q8_json": ["glue", "--group", "quaternion", "--format", "json"],
+    "glue_c4xc4_json": ["glue", "--group", C4XC4, "--format", "json"],
+    "glue_c3xs3_p3_json": [
+        "glue", "--group", C3XS3, "--prime", "3", "--format", "json"],
+    # the first glue golden of sectional rank 3
+    "glue_d8xc2_strata_json": [
+        "glue", "--group", D8XC2, "--level", "strata", "--format", "json"],
     # a rational transport leaves the named points: exit 4, nothing on stdout
-    "glue_d8xc2_rational": [
-        "glue", "--group",
-        '{"kind":"product","factors":[{"kind":"dihedral","order":8},'
-        '{"kind":"cyclic","n":2}]}',
-    ],
+    "glue_d8xc2_rational": ["glue", "--group", D8XC2],
     "components_q8": ["components", "--group", "quaternion"],
     "dim_q8": ["dim", "--group", "quaternion"],
     "fold_klein": ["fold", "--group", "klein", "--matrix", "01,10"],
+    "fold_c2_3_strata": [
+        "fold", "--group", "ea:2:3", "--level", "strata", "--matrix", "010,001,100"],
     "verify_units": ["verify", "units"],
 }
 

@@ -156,6 +156,51 @@ def test_master_relation():
     assert w is not None and verify_homotopy(f, w)
 
 
+def _reference_master_relation_map(u1, u2, u3, lam3=1):
+    """The three-term sum: each term builds its own tensor target."""
+    def term(m1, m2, m3):
+        return m1(u1).tensor(m2(u2)).tensor(m3(u3))
+
+    t1 = term(map_a, map_b, map_b)
+    t2 = term(map_b, map_a, map_b)
+    t3 = term(map_b, map_b, map_a).scale(lam3)
+    for other in (t2, t3):
+        assert t1.target.gsets.keys() == other.target.gsets.keys()
+        for n, gs in t1.target.gsets.items():
+            assert np.array_equal(gs.action, other.target.gsets[n].action)
+        assert t1.target.diffs.keys() == other.target.diffs.keys()
+        for n, d in t1.target.diffs.items():
+            assert np.array_equal(d, other.target.diffs[n])
+    return t1.add(t2).add(t3)
+
+
+def test_master_relation_map_matches_the_three_term_reference():
+    cases = 0
+    for E, p in ((elementary_abelian(2, 2), 2), (elementary_abelian(3, 2), 3)):
+        ea = EAStructure(E, p)
+        for c1, c2, c3, lam3 in dependent_triples(ea):
+            us = [build_u(E, p, _pi(ea, c)) for c in (c1, c2, c3)]
+            for lam in {lam3, (lam3 % (p - 1)) + 1}:
+                got = master_relation_map(*us, lam3=lam)
+                ref = _reference_master_relation_map(*us, lam3=lam)
+                assert got.shift == ref.shift == 0
+                assert got.source.gsets.keys() == ref.source.gsets.keys() == {0}
+                T, R = got.target, ref.target
+                assert T.gsets.keys() == R.gsets.keys()
+                for n, gs in T.gsets.items():
+                    assert np.array_equal(gs.action, R.gsets[n].action)
+                assert T.diffs.keys() == R.diffs.keys()
+                for n, d in T.diffs.items():
+                    assert np.array_equal(d, R.diffs[n])
+                assert got.components.keys() == ref.components.keys()
+                for n, m in got.components.items():
+                    assert np.array_equal(m, ref.components[n])
+                assert is_null_homotopic(got)[0] == (lam == lam3)
+                cases += 1
+    # Klein: one triple at its only scalar; C3xC3: four triples, two scalars
+    assert cases == 1 + 4 * 2
+
+
 def test_master_relation_wrong_scalar_rejected():
     E, p = elementary_abelian(3, 2), 3
     ea = EAStructure(E, p)

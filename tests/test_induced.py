@@ -246,7 +246,9 @@ def _recording_induced_hom(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("G, transports", [(dihedral(8), 90), (quaternion(), 6)],
+# glue builds no specialization order on an apex platform, so D8 makes no
+# closure transports there: 82 maps, 8 fewer than when apex orders were built
+@pytest.mark.parametrize("G, transports", [(dihedral(8), 82), (quaternion(), 6)],
                          ids=["D8", "Q8"])
 def test_glue_transports_match_the_reference(monkeypatch, G, transports):
     seen = _recording_induced_hom(monkeypatch)

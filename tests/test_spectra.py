@@ -3,15 +3,19 @@ from collections import Counter
 
 import pytest
 
+from permspec import spectra
+from permspec.gradedrings import HomogeneousIdeal, pmul
 from permspec.groups import (
     cyclic,
     dihedral,
     elementary_abelian,
     product,
     quaternion,
+    subgroups,
 )
 from permspec.sections import SectionCategory
 from permspec.spectra import (
+    KIND_CUSTOM,
     KIND_FAMILY,
     KIND_RATIONAL,
     KIND_STRATUM_GENERIC,
@@ -29,6 +33,8 @@ from permspec.spectra import (
     skeleton_map,
     transport_point,
 )
+
+from references import classify_by_line_search, rational_preimage_by_search
 
 
 def _kind_counts(skel):
@@ -332,3 +338,123 @@ def test_glued_json_provenance():
     data = g.to_json()
     assert len(data["points"]) == 25
     json.dumps(data)  # serializable
+
+
+# -- lines read off their ideals, checked against the line searches -------------------
+
+
+EA_GROUPS = [(2, 3), (3, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("p, r", EA_GROUPS, ids=["C2^3", "C3^2", "C5^2"])
+def test_line_of_inverts_line_ideal(p, r):
+    E = elementary_abelian(p, r)
+    lines = 0
+    for S in subgroups(E):
+        _, _, spec = spectra.stratum_data(E, S, p)
+        ea = spec.ea
+        for _, gen in spectra._lines(spec):
+            want = tuple(sorted(
+                ea.elem_of[tuple((k * c) % p for c in ea.vec_of[gen])] for k in range(p)
+            ))
+            ideal = spectra._line_ideal(spec, gen)
+            assert spectra._line_of(spec, ideal) == want
+            lines += 1
+            if ea.rank < 2:
+                continue
+            # the line ideal plus the square of a coordinate off the line has
+            # the same line but is no rational point
+            lbl = next(l for l, c in spec.coordinate.items()
+                       if ea.functional_on(c.f, gen))
+            x = spec.presentation.var(spec.plus_of[lbl])
+            fatter = HomogeneousIdeal(
+                spec.presentation, [dict(g) for g in ideal.generators] + [pmul(x, x, p)]
+            )
+            assert spectra._line_of(spec, fatter) == want
+            for I, kind in ((ideal, KIND_RATIONAL), (fatter, KIND_CUSTOM)):
+                assert spectra._classify(spec, I) == kind
+                assert classify_by_line_search(spec, I) == kind
+        assert spectra._line_of(spec, spectra._max_ideal(spec)) is None
+        if ea.rank >= 2:
+            assert spectra._line_of(spec, spectra._token_ideal(spec)) is None
+    # one line per order-p subgroup of each stratum quotient
+    assert lines == {(2, 3): 7 + 7 * 3 + 7, (3, 2): 4 + 4, (5, 2): 6 + 6}[p, r]
+
+
+def test_move_ideal_carries_lines_forward():
+    # a rational point at the line L moves to the rational point at iota(L):
+    # along an automorphism of C3^2 that permutes the four lines in a 4-cycle
+    # (so it and its inverse send every line to different lines), and from
+    # the generic point of a rank-1 stratum into C3^2
+    p = 3
+    E = elementary_abelian(p, 2)
+    _, _, spec = spectra.stratum_data(E, E.trivial_subgroup(), p)
+    ea = spec.ea
+    theta = [ea.elem_of[(v[1], (v[0] + v[1]) % p)]
+             for v in (ea.vec_of[x] for x in range(E.order))]
+    moved = 0
+    for _, gen in spectra._lines(spec):
+        got = spectra._move_ideal(spectra._line_ideal(spec, gen), spec, spec, theta)
+        assert got == spectra._line_ideal(spec, theta[gen])
+        moved += spectra._line_of(spec, got) != spectra._line_of(
+            spec, spectra._line_ideal(spec, gen))
+    assert moved == 4
+    for S in subgroups(E):
+        if S.order != p:
+            continue
+        Q, proj, specQ = spectra.stratum_data(E, S, p)
+        # a line L' apart from S maps onto Q; iota: Q -> E inverts that
+        L = next(T for T in subgroups(E) if T.order == p and T.elements != S.elements)
+        iota = [next(x for x in L.elements if proj.map[x] == q) for q in range(p)]
+        zero = HomogeneousIdeal(specQ.presentation, [])
+        got = spectra._move_ideal(zero, specQ, spec, iota)
+        assert got == spectra._line_ideal(spec, L.elements[1])
+
+
+@pytest.mark.parametrize("p, r", EA_GROUPS, ids=["C2^3", "C3^2", "C5^2"])
+def test_rational_points_specialize_to_the_searched_preimage(p, r):
+    E = elementary_abelian(p, r)
+    named = spectra._named_points(E, p, "rational", spectra.DEFAULT_RANK_CAP)
+    # tokens take the slow closure transports and are not needed here
+    points = [pt for pt in named if pt.kind in (KIND_VERY_CLOSED, KIND_RATIONAL)]
+    order = spectra._specialization_order(E, p, points)
+    rational = 0
+    for i, pt in enumerate(points):
+        if pt.kind != KIND_RATIONAL:
+            continue
+        pre = rational_preimage_by_search(E, p, pt)
+        below = {points[j].stratum.elements for (a, j) in order if a == i}
+        assert below == {pt.stratum.elements, pre.elements}
+        rational += 1
+    assert rational > 0
+
+
+C4XC4 = product(cyclic(4), cyclic(4))
+C3XS3 = product(cyclic(3), dihedral(6))
+
+
+@pytest.mark.parametrize(
+    "G, p, transported",
+    [
+        (dihedral(8), 2, {KIND_VERY_CLOSED: 32, KIND_STRATUM_GENERIC: 18,
+                          KIND_RATIONAL: 16, KIND_CUSTOM: 4}),
+        (quaternion(), 2, {KIND_VERY_CLOSED: 2}),
+        (C4XC4, 2, {KIND_VERY_CLOSED: 32, KIND_STRATUM_GENERIC: 6, KIND_RATIONAL: 6}),
+        (C3XS3, 3, {KIND_VERY_CLOSED: 12, KIND_STRATUM_GENERIC: 10,
+                    KIND_RATIONAL: 8, KIND_CUSTOM: 2}),
+    ],
+    ids=["D8", "Q8", "C4xC4", "C3xS3"],
+)
+def test_classify_matches_the_line_search(monkeypatch, G, p, transported):
+    kinds = Counter()
+    classify = spectra._classify
+
+    def checked(spec, ideal):
+        kind = classify(spec, ideal)
+        assert kind == classify_by_line_search(spec, ideal)
+        kinds[kind] += 1
+        return kind
+
+    monkeypatch.setattr(spectra, "_classify", checked)
+    glue(G, p)
+    assert kinds == transported

@@ -1,17 +1,26 @@
 import pytest
 
 from permspec.groups import elementary_abelian, subgroups
-from permspec.gradedrings import GradedRingHom, HomogeneousIdeal, RingError
+from permspec.gradedrings import (
+    GradedRingHom,
+    HomogeneousIdeal,
+    RingError,
+    padd,
+    pmul,
+    pscale,
+)
 from permspec.twisted import (
     Coordinate,
     EAStructure,
     canonical_functional,
     closure_ideal,
     coordinates,
+    dependent_triples,
     glue_iso,
     leading_scalar,
     local_ring,
     present_Rloc,
+    present_Rtotal,
     psi_hom,
     res_hom,
 )
@@ -234,3 +243,27 @@ def test_closure_off_lines_p3():
                 assert not J.is_unit() and not J.is_zero()
             else:
                 assert J.is_unit()
+
+
+def _reference_Rtotal_relations(E, p):
+    """The master relations of present_Rtotal as its own three-term sum."""
+    pres = present_Rtotal(E, p)
+    a = lambda c: pres.var(f"a_{c.label}")
+    b = lambda c: pres.var(f"b_{c.label}")
+    rels = []
+    for c1, c2, c3, lam3 in dependent_triples(EAStructure(E, p)):
+        t1 = pmul(a(c1), pmul(b(c2), b(c3), p), p)
+        t2 = pmul(b(c1), pmul(a(c2), b(c3), p), p)
+        t3 = pscale(pmul(b(c1), pmul(b(c2), a(c3), p), p), lam3, p)
+        rels.append(padd(padd(t1, t2, p), t3, p))
+    return rels
+
+
+@pytest.mark.parametrize("p, r", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+def test_Rtotal_relations_match_the_three_term_sum(p, r):
+    E = elementary_abelian(p, r)
+    got = present_Rtotal(E, p).relations
+    ref = _reference_Rtotal_relations(E, p)
+    assert [list(g.items()) for g in got] == [list(f.items()) for f in ref]
+    # at odd p some triple has lam3 != 1, so the scalar is exercised
+    assert p == 2 or any(lam3 != 1 for *_, lam3 in dependent_triples(EAStructure(E, p)))
