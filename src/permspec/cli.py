@@ -99,6 +99,14 @@ def parse_subgroup(G, text):
     return G.generated_subgroup(elems)
 
 
+def _emit_section(G, x):
+    def names(S):
+        return ",".join(G.name_of(e) for e in S.elements)
+
+    print(f"  (|H|={x.H.order}, |K|={x.K.order}, rank {x.rank()}) "
+          f"H={{{names(x.H)}}} K={{{names(x.K)}}}")
+
+
 def _emit_skeleton(skel, fmt):
     if fmt == "json":
         print(json.dumps(skel.to_json(), sort_keys=True, indent=2))
@@ -159,9 +167,7 @@ def run(argv=None):
         objs = cat.objects()
         print(f"{len(objs)} sections")
         for x in objs:
-            print(f"  (|H|={x.H.order}, |K|={x.K.order}, rank {x.rank()}) "
-                  f"H={{{','.join(G.name_of(e) for e in x.H.elements)}}} "
-                  f"K={{{','.join(G.name_of(e) for e in x.K.elements)}}}")
+            _emit_section(G, x)
         return EXIT_OK
 
     if args.command == "maxel":
@@ -169,9 +175,7 @@ def run(argv=None):
         reps = cat.maxel()
         print(f"{len(reps)} maximal section classes")
         for x in reps:
-            print(f"  (|H|={x.H.order}, |K|={x.K.order}, rank {x.rank()}) "
-                  f"H={{{','.join(G.name_of(e) for e in x.H.elements)}}} "
-                  f"K={{{','.join(G.name_of(e) for e in x.K.elements)}}}")
+            _emit_section(G, x)
         return EXIT_OK
 
     if args.command == "relations":

@@ -17,6 +17,7 @@ Conventions (fixed once, everything downstream is checked against them):
     (-1)^s d f = f d; it is null-homotopic when f = d h + (-1)^s h d.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -56,7 +57,6 @@ class GSet:
             raise ComplexError("action table must be |G| x n")
         assert np.array_equal(self.action[0], np.arange(self.size)), \
             "identity must act trivially"
-        self._label = None
 
     @property
     def size(self):
@@ -72,9 +72,11 @@ class GSet:
 
     def orbit_label(self):
         """Each point's least orbit-mate; equal labels mark one G-orbit."""
-        if self._label is None:
-            self._label = self.action.min(axis=0)
         return self._label
+
+    @functools.cached_property
+    def _label(self):
+        return self.action.min(axis=0)
 
     def orbit_order(self):
         """(points sorted by orbit, where each orbit starts in that order).
@@ -580,9 +582,6 @@ def is_contractible(C):
     return ok
 
 
-_HOM_CACHE = {}  # (group digest, p, sorted pi tuples) -> (orbit counts, ranks)
-
-
 def hom_dim(G, p, coords, s):
     """dim Hom_{K(G)}(1, u_{pi_1} (x) ... (x) u_{pi_k} [s]).
 
@@ -597,15 +596,12 @@ def hom_dim(G, p, coords, s):
     depends on only up to isomorphism.
     """
     pis = tuple(sorted(tuple(int(v) % p for v in pi) for pi in coords))
-    key = (G.digest(), p, pis)
-    profile = _HOM_CACHE.get(key)
-    if profile is None:
-        profile = _HOM_CACHE[key] = _invariant_profile(G, p, pis)
-    orbits, ranks = profile
+    orbits, ranks = _invariant_profile(G, p, pis)
     n = -s
     return orbits.get(n, 0) - ranks.get(n, 0) - ranks.get(n + 1, 0)
 
 
+@functools.cache
 def _invariant_profile(G, p, pis):
     """({n: orbit count of T_n}, {n: rank of d_n on T^G}) for T = (x) u_pi."""
     T = unit_complex(G, p)

@@ -21,11 +21,13 @@ name each coset of K' by its least element; the group memoises both per
 subgroup.
 """
 
+import functools
 import itertools
 
 from .groups import (
     GroupError,
     center,
+    p_rank_of_section,
     p_subgroups,
 )
 
@@ -55,11 +57,7 @@ class SectionObject:
         return (tuple(self.H.elements), tuple(self.K.elements))
 
     def rank(self):
-        n, r = self.H.order // self.K.order, 0
-        while n > 1:
-            n //= self.p
-            r += 1
-        return r
+        return p_rank_of_section(self.H, self.K, self.p)
 
     def __eq__(self, other):
         return isinstance(other, SectionObject) and self.key() == other.key()
@@ -144,25 +142,28 @@ class SectionCategory:
     def __init__(self, G, p):
         self.G = G
         self.p = p
-        self._objects = None
-        self._maxel = None
-        self._z_center = None
         self._hom_cache = {}
 
     def objects(self):
-        if self._objects is None:
-            out = []
-            subs = p_subgroups(self.G, self.p)
-            for H in subs:
-                for K in subs:
-                    if not H.contains_subgroup(K):
-                        continue
-                    if not K.is_normal(H):
-                        continue
-                    if _section_elementary_abelian(H, K, self.p):
-                        out.append(SectionObject(H, K, self.p, check=False))
-            self._objects = out
         return self._objects
+
+    @functools.cached_property
+    def _objects(self):
+        out = []
+        subs = p_subgroups(self.G, self.p)
+        for H in subs:
+            for K in subs:
+                if not H.contains_subgroup(K):
+                    continue
+                if not K.is_normal(H):
+                    continue
+                if _section_elementary_abelian(H, K, self.p):
+                    out.append(SectionObject(H, K, self.p, check=False))
+        return out
+
+    @functools.cached_property
+    def _z_center(self):
+        return center(self.G)
 
     def homs(self, x, y, reduction="raw"):
         """Morphisms x -> y under the requested reduction."""
@@ -179,8 +180,6 @@ class SectionCategory:
             self._hom_cache[ck] = raw
             return raw
         if reduction == "center_target":
-            if self._z_center is None:
-                self._z_center = center(self.G)
             frontier = set(self._z_center.elements) | set(y.H.elements)
             # subgroup generated by Z(G) and H'
             gen = self.G.generated_subgroup(sorted(frontier))
@@ -232,24 +231,26 @@ class SectionCategory:
 
     def maxel(self):
         """Conjugacy-class representatives of the maximal sections."""
-        if self._maxel is None:
-            objs = self.objects()
-            maximal = []
-            for x in objs:
-                ok = True
-                for y in objs:
-                    if self.has_hom(x, y) and not self.has_hom(y, x):
-                        ok = False
-                        break
-                if ok:
-                    maximal.append(x)
-            # one representative per isomorphism class
-            reps = []
-            for x in maximal:
-                if not any(self.has_hom(x, r) and self.has_hom(r, x) for r in reps):
-                    reps.append(x)
-            self._maxel = reps
         return self._maxel
+
+    @functools.cached_property
+    def _maxel(self):
+        objs = self.objects()
+        maximal = []
+        for x in objs:
+            ok = True
+            for y in objs:
+                if self.has_hom(x, y) and not self.has_hom(y, x):
+                    ok = False
+                    break
+            if ok:
+                maximal.append(x)
+        # one representative per isomorphism class
+        reps = []
+        for x in maximal:
+            if not any(self.has_hom(x, r) and self.has_hom(r, x) for r in reps):
+                reps.append(x)
+        return reps
 
     def is_EI(self, limit=None):
         """Every endomorphism is an isomorphism."""

@@ -26,6 +26,7 @@ import itertools
 from .groups import (
     GroupError,
     ResourceError,
+    Subgroup,
     is_elementary_abelian,
     p_rank_of_section,
     p_subgroups,
@@ -35,7 +36,6 @@ from .groups import (
 )
 from .gradedrings import HomogeneousIdeal, contract
 from .twisted import (
-    canonical_functional,
     closure_ideal,
     induced_hom,
     local_ring,
@@ -212,32 +212,21 @@ class SpectrumSkeleton:
 
 # -- stratum plumbing ---------------------------------------------------------------
 
-_STRATUM_CACHE = {}
-
-
 def stratum_data(E, S, p):
     """(quotient group, projection, cohomology ring spec) of the S-stratum."""
-    key = (E.digest(), tuple(S.elements), p)
-    hit = _STRATUM_CACHE.get(key)
-    if hit is None:
-        Q, proj = quotient(E, S)
-        spec = local_ring(Q, Q.trivial_subgroup(), p)
-        hit = (Q, proj, spec)
-        _STRATUM_CACHE[key] = hit
-    return hit
+    return _stratum_data(E, S.elements, p)
+
+
+@functools.cache
+def _stratum_data(E, elements, p):
+    Q, proj = quotient(E, Subgroup(E, elements, check=False))
+    return Q, proj, local_ring(Q, Q.trivial_subgroup(), p)
 
 
 def _lines(spec):
-    """(vector-label, generator element) per order-p subgroup of spec's group."""
-    ea = spec.ea
-    out = []
-    for vec in itertools.product(range(ea.p), repeat=ea.rank):
-        if all(c == 0 for c in vec):
-            continue
-        if vec != canonical_functional(vec, ea.p):
-            continue
-        out.append(("".join(str(c) for c in vec), ea.elem_of[vec]))
-    return out
+    """(vector-label, generator element) per order-p subgroup of spec's group:
+    the canonical vectors are those of the coordinates, in the same order."""
+    return [(c.label, spec.ea.elem_of[c.f]) for c in spec.coordinate.values()]
 
 
 def _line_ideal(spec, gen_elem):
@@ -718,31 +707,28 @@ def frattini_cover_check(E, p, family=None, max_family=4):
     A named point lies in U(b_N) exactly when its stratum is contained in N;
     for a family with trivial intersection this must pin the stratum to the
     trivial subgroup.  With family=None every intersection-trivial family of
-    at most max_family index-p subgroups is checked."""
-    skel = skeleton(E, p, level="rational")
+    at most max_family index-p subgroups is checked.  Only the named points
+    are needed, so no specialization order is built."""
+    points = _named_points(E, p, "rational", DEFAULT_RANK_CAP)
     spec = local_ring(E, E.trivial_subgroup(), p)
     kernels = [spec.coordinate[lbl].kernel for lbl in sorted(spec.plus_of)]
+
+    def trivial_meet(fam):
+        return functools.reduce(Subgroup.intersection, fam).order == 1
+
     if family is not None:
         families = [list(family)]
-    else:
-        families = []
-        for size in range(1, max_family + 1):
-            for combo in itertools.combinations(kernels, size):
-                inter = combo[0]
-                for N in combo[1:]:
-                    inter = inter.intersection(N)
-                if inter.order == 1:
-                    families.append(list(combo))
-    if not families:
-        return True
-    for fam in families:
-        inter = fam[0]
-        for N in fam[1:]:
-            inter = inter.intersection(N)
-        if inter.order != 1:
+        if not trivial_meet(families[0]):
             raise GroupError("family does not intersect trivially")
-        for pt in skel.points:
-            if all(N.contains_subgroup(pt.stratum) for N in fam):
-                if pt.stratum.order != 1:
-                    return False
-    return True
+    else:
+        families = [
+            combo
+            for size in range(1, max_family + 1)
+            for combo in itertools.combinations(kernels, size)
+            if trivial_meet(combo)
+        ]
+    return not any(
+        pt.stratum.order != 1 and all(N.contains_subgroup(pt.stratum) for N in fam)
+        for fam in families
+        for pt in points
+    )

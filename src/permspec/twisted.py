@@ -20,10 +20,12 @@ H-localization and the 1-localization embed, contract back to R'_E(H), then
 collapse along the quotient map to the cohomology of E/H.
 """
 
+import functools
 import itertools
 
 from .groups import (
     GroupError,
+    Subgroup,
     is_elementary_abelian,
     quotient,
     subgroup_as_group,
@@ -32,6 +34,7 @@ from .gradedrings import (
     GradedPresentation,
     GradedRingHom,
     HomogeneousIdeal,
+    canonical,
     contract,
     padd,
     pmul,
@@ -170,19 +173,15 @@ class LocalRingSpec:
         )
 
 
-_RING_CACHE = {}
-
-
 def local_ring(E, H, p):
     """The presented localized twisted cohomology ring R'_E(H)."""
-    key = (E.digest(), tuple(H.elements), p)
-    hit = _RING_CACHE.get(key)
-    if hit is not None:
-        return hit
-    ea = EAStructure(E, p)
-    spec = _build_local_ring(ea, H)
-    _RING_CACHE[key] = spec
-    return spec
+    return _local_ring(E, H.elements, p)
+
+
+@functools.cache
+def _local_ring(E, elements, p):
+    H = Subgroup(E, elements, check=False)
+    return _build_local_ring(EAStructure(E, p), H)
 
 
 # presentation of R'_E(H) (generators zp_N / zm_N, relations (b)-(d))
@@ -417,9 +416,6 @@ def glue_iso(E, H, K, p):
 # -- closure transport ---------------------------------------------------------------
 
 
-_CLOSURE_CACHE = {}
-
-
 def closure_ideal(E, H, I, p):
     """Transport an ideal of the cohomology of E into the stratum of H.
 
@@ -430,12 +426,17 @@ def closure_ideal(E, H, I, p):
     if not isinstance(I, HomogeneousIdeal):
         I = HomogeneousIdeal(spec1.presentation, list(I))
     assert I.ambient.digest() == spec1.presentation.digest()
-    key = (E.digest(), tuple(H.elements), p, tuple(sorted(
-        tuple(sorted(g.items())) for g in I.generators
-    )))
-    hit = _CLOSURE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    gens = tuple(sorted(canonical(g) for g in I.generators))
+    return _closure_ideal(E, H.elements, p, gens)
+
+
+@functools.cache
+def _closure_ideal(E, elements, p, gens):
+    """closure_ideal of the ideal with these canonical generators; the ring
+    of E is the one closure_ideal has just looked up."""
+    spec1 = _local_ring(E, (0,), p)
+    I = HomogeneousIdeal(spec1.presentation, [dict(g) for g in gens], check=False)
+    H = Subgroup(E, elements, check=False)
     specH = local_ring(E, H, p)
     # common localization T: all zp_N, plus inverses of zp_M for M not >= H
     T, inv_of = _localized_presentation(spec1, specH.minus_of)
@@ -453,9 +454,7 @@ def closure_ideal(E, H, I, p):
     pulled = contract(Q, J_T)
     # reinterpret the pulled generators inside R'_E(H), then collapse the zm's
     psiH = psi_hom(E, H, H, p)
-    out = psiH.apply_ideal(
+    return psiH.apply_ideal(
         HomogeneousIdeal(specH.presentation,
                          [dict(g) for g in pulled.generators], check=False)
     )
-    _CLOSURE_CACHE[key] = out
-    return out

@@ -434,19 +434,28 @@ def test_hom_dim_matches_dense_reference(group, p, max_total, shifts):
                 (group, twist, s)
 
 
-def test_hom_dim_memo_permuted_coordinates():
+def _fresh_profile_memo(monkeypatch, build=None):
+    """Give hom_dim an empty memo for this test only, so the module's warm
+    memo is back for the tests after it."""
+    memo = functools.cache(build or complexes._invariant_profile.__wrapped__)
+    monkeypatch.setattr(complexes, "_invariant_profile", memo)
+    return memo
+
+
+def test_hom_dim_memo_permuted_coordinates(monkeypatch):
     E, p = elementary_abelian(2, 2), 2
     ea = EAStructure(E, p)
     a, b, c = [_pi(ea, x) for x in coordinates(ea)]
-    complexes._HOM_CACHE.clear()
+    memo = _fresh_profile_memo(monkeypatch)
     orders = [[a, b, b, c], [b, c, a, b], [c, b, b, a]]
     for s in range(-5, 2):
         values = {hom_dim(E, p, coords, s) for coords in orders}
         assert values == {_reference_hom_dim(E, p, orders[1], s)}
-    assert len(complexes._HOM_CACHE) == 1
+    info = memo.cache_info()
+    assert info.misses == 1 and info.currsize == 1
 
 
-def test_hom_dim_memo_keys_are_exact():
+def test_hom_dim_memo_keys_are_exact(monkeypatch):
     # every relabelling of the Klein four-group fixing 0 is an automorphism,
     # so it gives the same table and shares the entry; relabelling C4 by
     # swapping 1 and 2 gives another table and another entry
@@ -454,37 +463,38 @@ def test_hom_dim_memo_keys_are_exact():
     K2 = _relabelled(K, [0, 3, 1, 2])
     C4 = cyclic(4)
     C4b = _relabelled(C4, [0, 2, 1, 3])
-    assert K2.digest() == K.digest() and C4b.digest() != C4.digest()
+    assert K2 == K and K2 is not K and C4b != C4
     ea = EAStructure(K, 2)
     klein_pis = [tuple(_pi(ea, c)) for c in coordinates(ea)[:2]]
-    complexes._HOM_CACHE.clear()
-    keys = set()
+    memo = _fresh_profile_memo(monkeypatch)
+    sizes = []
     for G, pis in ((K, klein_pis), (K2, klein_pis),
                    (C4, [(0, 1, 0, 1)] * 2), (C4b, [(0, 0, 1, 1)] * 2)):
         want = [_reference_hom_dim(G, 2, pis, s) for s in range(-4, 2)]
         assert [hom_dim(G, 2, pis, s) for s in range(-4, 2)] == want
-        keys.add((G.digest(), 2, tuple(sorted(pis))))
+        sizes.append(memo.cache_info().currsize)
+    assert sizes == [1, 1, 2, 3]
     C6 = cyclic(6)
     for p in (2, 3):
         pi = tuple(x % p for x in range(6))
         assert hom_dim(C6, p, [], 0) == 1
         assert hom_dim(C6, p, [pi], -1) == _reference_hom_dim(C6, p, [pi], -1)
-        keys |= {(C6.digest(), p, ()), (C6.digest(), p, (pi,))}
-    assert set(complexes._HOM_CACHE) == keys and len(keys) == 7
+    # the unit and one twist of C6 at each prime: four keys more
+    info = memo.cache_info()
+    assert info.currsize == info.misses == 7
 
 
 def test_hom_dim_memo_clear(monkeypatch):
     E, p = cyclic(2), 2
     pi = [0, 1]
     built = []
-    profile = complexes._invariant_profile
-    monkeypatch.setattr(complexes, "_invariant_profile",
-                        lambda *args: built.append(args) or profile(*args))
-    complexes._HOM_CACHE.clear()
+    profile = complexes._invariant_profile.__wrapped__
+    memo = _fresh_profile_memo(
+        monkeypatch, lambda *args: built.append(args) or profile(*args))
     assert [hom_dim(E, p, [pi, pi], s) for s in (0, -1, -2, -3)] == [1, 1, 1, 0]
-    assert len(built) == 1 and len(complexes._HOM_CACHE) == 1
-    complexes._HOM_CACHE.clear()
-    assert len(complexes._HOM_CACHE) == 0
+    assert len(built) == 1 and memo.cache_info().currsize == 1
+    memo.cache_clear()
+    assert memo.cache_info().currsize == 0
     assert hom_dim(E, p, [pi, pi], -1) == 1
     assert len(built) == 2
 
@@ -585,7 +595,7 @@ def test_hom_dim_refuses_large_tensor_powers(monkeypatch):
     # 6-fold one 26730 x 23814 (5 GB); both exceed the cap before allocating
     E, p = elementary_abelian(3, 2), 3
     pi = _pi(EAStructure(E, p), coordinates(EAStructure(E, p))[0])
-    monkeypatch.setattr(complexes, "_HOM_CACHE", {})
+    _fresh_profile_memo(monkeypatch)
     assert hom_dim(E, p, [pi] * 4, -4) == _reference_hom_dim(E, p, [pi] * 4, -4)
     with pytest.raises(ResourceError):
         hom_dim(E, p, [pi] * 5, -5)

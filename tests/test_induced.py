@@ -8,6 +8,8 @@ references below are the earlier, separately written versions of each; the
 new code must give exactly their images, targets and ideals.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,14 @@ class _Captured(Exception):
     pass
 
 
+def _fresh_closure_memo(monkeypatch):
+    """Give closure_ideal an empty memo under this monkeypatch only, so the
+    module's warm memo is back for the tests after it."""
+    memo = functools.cache(twisted._closure_ideal.__wrapped__)
+    monkeypatch.setattr(twisted, "_closure_ideal", memo)
+    return memo
+
+
 def _contract_inputs(monkeypatch, E, H, I, p):
     """(Q, J_T) as closure_ideal hands them to contract, which is not run."""
 
@@ -277,7 +287,7 @@ def _contract_inputs(monkeypatch, E, H, I, p):
 
     with monkeypatch.context() as m:
         m.setattr(twisted, "contract", capture)
-        m.setattr(twisted, "_CLOSURE_CACHE", {})
+        _fresh_closure_memo(m)
         with pytest.raises(_Captured) as exc:
             closure_ideal(E, H, I, p)
     return exc.value.args
@@ -319,7 +329,7 @@ def test_closure_transport_localizes_as_the_reference(monkeypatch):
 
 
 def test_closure_of_family_tokens_matches_the_reference(monkeypatch):
-    monkeypatch.setattr(twisted, "_CLOSURE_CACHE", {})
+    memo = _fresh_closure_memo(monkeypatch)
     cases = 0
     for p, Qp, Hbar, token in _token_transports():
         if p == 2 and Qp.order == 8 and Hbar.order > 2:
@@ -330,6 +340,9 @@ def test_closure_of_family_tokens_matches_the_reference(monkeypatch):
         assert _generators(got) == _generators(ref)
         cases += 1
     assert cases == 7 + 7 * 4 + 5
+    # stratum quotients with equal tables share an entry
+    info = memo.cache_info()
+    assert info.misses == info.currsize == 16
 
 
 def test_quotient_keeps_the_least_coset_representatives():

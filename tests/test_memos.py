@@ -1,0 +1,87 @@
+"""The memo rule: a module-level memo is `functools.cache` on a private
+function of exact content keys, emptied by `cache_clear()` and counted by
+`cache_info()`; no module keeps a hand-written cache dict."""
+
+import ast
+import functools
+import importlib
+import pathlib
+import pkgutil
+
+import permspec
+from permspec.complexes import hom_dim
+from permspec.groups import elementary_abelian
+from permspec.spectra import skeleton
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "permspec"
+
+
+def module_cache_names(source):
+    """Names ending in _CACHE bound at module level (not inside a function
+    or class body)."""
+    found, todo = [], list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                             ast.Lambda)):
+            continue
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                and node.id.endswith("_CACHE")):
+            found.append(node.id)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_module_cache_detection():
+    src = (
+        "_A_CACHE = {}\n"
+        "B_CACHE: dict = {}\n"
+        "if True:\n    C_CACHE = D = {}\n"
+        "CACHED = 1\n"
+        "def f():\n    E_CACHE = {}\n"
+        "class K:\n    F_CACHE = {}\n"
+    )
+    assert module_cache_names(src) == ["B_CACHE", "C_CACHE", "_A_CACHE"]
+
+
+def test_no_module_cache_dicts():
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in module_cache_names(path.read_text())
+    ]
+    assert found == []
+
+
+def _module_memos():
+    """(module, name, memo) for every functools memo a permspec module holds."""
+    out = []
+    for info in pkgutil.iter_modules(permspec.__path__):
+        mod = importlib.import_module(f"permspec.{info.name}")
+        for name, val in sorted(vars(mod).items()):
+            if callable(getattr(val, "cache_clear", None)):
+                out.append((mod, name, val))
+    return out
+
+
+def test_cache_clear_empties_every_memo(monkeypatch):
+    memos = _module_memos()
+    assert {f"{mod.__name__}.{name}" for mod, name, _ in memos} >= {
+        "permspec.twisted._local_ring", "permspec.twisted._closure_ideal",
+        "permspec.spectra._stratum_data", "permspec.complexes._invariant_profile",
+    }
+    # fresh memos for this test only: the warm ones come back afterwards
+    fresh = []
+    for mod, name, memo in memos:
+        copy = functools.cache(memo.__wrapped__)
+        monkeypatch.setattr(mod, name, copy)
+        fresh.append((name, copy))
+    # the rational skeleton of C2^2 moves its family token through
+    # closure_ideal, so every stratum, ring and closure memo is used
+    E = elementary_abelian(2, 2)
+    skeleton(E, 2)
+    assert hom_dim(E, 2, [(0, 1, 0, 1)], -1) == 1
+    for name, memo in fresh:
+        assert memo.cache_info().currsize > 0, name
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0, name

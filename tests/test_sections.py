@@ -104,6 +104,11 @@ def test_rank():
     cat = SectionCategory(K4, 2)
     ranks = sorted(x.rank() for x in cat.objects())
     assert ranks == [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2]
+    # |H/K| = p^rank on every section of D16 (ranks 0 to 2) and C3xC3
+    for G, p in ((dihedral(16), 2), (elementary_abelian(3, 2), 3)):
+        objs = SectionCategory(G, p).objects()
+        assert all(x.H.order == x.K.order * p ** x.rank() for x in objs)
+        assert {x.rank() for x in objs} == {0, 1, 2}
 
 
 POOL = [

@@ -1,11 +1,13 @@
+import itertools
 import json
 from collections import Counter
 
 import pytest
 
-from permspec import spectra
+from permspec import spectra, twisted
 from permspec.gradedrings import HomogeneousIdeal, pmul
 from permspec.groups import (
+    GroupError,
     cyclic,
     dihedral,
     elementary_abelian,
@@ -269,9 +271,44 @@ def test_fold_rejects_singular_matrix():
         fold(skel, [[1, 1], [1, 1]])
 
 
-def test_frattini_cover_rank2():
-    assert frattini_cover_check(elementary_abelian(2, 2), 2)
-    assert frattini_cover_check(elementary_abelian(3, 2), 3)
+def test_frattini_cover_rank2(monkeypatch):
+    # the check reads only the named points: building a specialization
+    # order (seconds on C2^3) would fail here
+    def no_order(*args):
+        raise AssertionError("frattini_cover_check built a specialization order")
+
+    monkeypatch.setattr(spectra, "_specialization_order", no_order)
+    for p, r in ((2, 2), (3, 2), (2, 3), (3, 3)):
+        assert frattini_cover_check(elementary_abelian(p, r), p)
+    # a family that does not intersect trivially is refused, whole or in part
+    E = elementary_abelian(2, 3)
+    spec = twisted.local_ring(E, E.trivial_subgroup(), 2)
+    kernels = [spec.coordinate[lbl].kernel for lbl in sorted(spec.plus_of)]
+    # labels 001, 010, 100 are independent; 001, 010, 011 are not
+    assert frattini_cover_check(E, 2, family=[kernels[i] for i in (0, 1, 3)])
+    for family in (kernels[:1], kernels[:2], kernels[:3]):
+        with pytest.raises(GroupError, match="does not intersect trivially"):
+            frattini_cover_check(E, 2, family=family)
+
+
+def _reference_lines(ea):
+    """One (label, generator) per line, by search: every nonzero vector in
+    lex order whose first nonzero entry is 1."""
+    out = []
+    for vec in itertools.product(range(ea.p), repeat=ea.rank):
+        if any(vec) and next(c for c in vec if c) == 1:
+            out.append(("".join(str(c) for c in vec), ea.elem_of[vec]))
+    return out
+
+
+def test_lines_are_the_coordinates():
+    # the lines are read off the coordinates: same labels, same order
+    for p, r in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
+        E = elementary_abelian(p, r)
+        spec = twisted.local_ring(E, E.trivial_subgroup(), p)
+        lines = spectra._lines(spec)
+        assert lines == _reference_lines(spec.ea)
+        assert len(lines) == (p**r - 1) // (p - 1)
 
 
 def test_rank3_strata_skeletons():
