@@ -163,7 +163,7 @@ def run(argv=None):
     G = parse_group(args.group, cap=args.cap_order)
 
     if args.command == "sections":
-        cat = SectionCategory(G, p)
+        cat = SectionCategory(G, p, args.cap_order)
         objs = cat.objects()
         print(f"{len(objs)} sections")
         for x in objs:
@@ -171,7 +171,7 @@ def run(argv=None):
         return EXIT_OK
 
     if args.command == "maxel":
-        cat = SectionCategory(G, p)
+        cat = SectionCategory(G, p, args.cap_order)
         reps = cat.maxel()
         print(f"{len(reps)} maximal section classes")
         for x in reps:
@@ -179,7 +179,7 @@ def run(argv=None):
         return EXIT_OK
 
     if args.command == "relations":
-        cat = SectionCategory(G, p)
+        cat = SectionCategory(G, p, args.cap_order)
         rels = cat.maximal_relations()
         print(f"{len(rels)} maximal relations")
         for r in rels:
@@ -212,12 +212,13 @@ def run(argv=None):
         return EXIT_OK
 
     if args.command == "glue":
-        skel = glue(G, p, level=args.level, cap_rank=args.cap_rank)
+        skel = glue(G, p, level=args.level, cap_rank=args.cap_rank,
+                    cap_order=args.cap_order)
         _emit_skeleton(skel, args.format)
         return EXIT_OK
 
     if args.command == "components":
-        comps = components(G, p, cap_rank=args.cap_rank)
+        comps = components(G, p, cap_rank=args.cap_rank, cap_order=args.cap_order)
         print(f"{len(comps)} irreducible components")
         for sec, cls in comps:
             print(f"  section (|H|={sec.H.order},|K|={sec.K.order}) "
@@ -225,9 +226,9 @@ def run(argv=None):
         return EXIT_OK
 
     if args.command == "dim":
-        d = dimension(G, p, cap_rank=args.cap_rank)
+        d = dimension(G, p, cap_rank=args.cap_rank, cap_order=args.cap_order)
         print(f"dimension {d}")
-        print(f"p-rank {p_rank(G, p)}")
+        print(f"p-rank {p_rank(G, p, args.cap_order)}")
         return EXIT_OK
 
     if args.command == "fold":

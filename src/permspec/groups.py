@@ -163,9 +163,7 @@ class FiniteGroup:
         return self._digest
 
     def __eq__(self, other):
-        return isinstance(other, FiniteGroup) and np.array_equal(
-            self.table, other.table
-        )
+        return isinstance(other, FiniteGroup) and self.digest() == other.digest()
 
     def __hash__(self):
         return hash(self.digest())
@@ -569,8 +567,8 @@ def _lattice(G):
     return [Subgroup(G, e, check=False) for e in found]
 
 
-def p_subgroups(G, p):
-    return [H for H in subgroups(G) if H.is_p_group(p)]
+def p_subgroups(G, p, cap=DEFAULT_ORDER_CAP):
+    return [H for H in subgroups(G, cap) if H.is_p_group(p)]
 
 
 def index_p_normals(G, p):

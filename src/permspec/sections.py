@@ -25,6 +25,7 @@ import functools
 import itertools
 
 from .groups import (
+    DEFAULT_ORDER_CAP,
     GroupError,
     center,
     p_rank_of_section,
@@ -139,9 +140,10 @@ def induced_map(x, y, g):
 class SectionCategory:
     """EA_p(G): finite category of elementary abelian p-sections."""
 
-    def __init__(self, G, p):
+    def __init__(self, G, p, cap_order=DEFAULT_ORDER_CAP):
         self.G = G
         self.p = p
+        self.cap_order = cap_order
         self._hom_cache = {}
 
     def objects(self):
@@ -150,7 +152,7 @@ class SectionCategory:
     @functools.cached_property
     def _objects(self):
         out = []
-        subs = p_subgroups(self.G, self.p)
+        subs = p_subgroups(self.G, self.p, self.cap_order)
         for H in subs:
             for K in subs:
                 if not H.contains_subgroup(K):

@@ -24,6 +24,7 @@ import functools
 import itertools
 
 from .groups import (
+    DEFAULT_ORDER_CAP,
     GroupError,
     ResourceError,
     Subgroup,
@@ -563,7 +564,8 @@ class _UnionFind:
         }
 
 
-def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP):
+def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP,
+         cap_order=DEFAULT_ORDER_CAP):
     """Skeleton of the spectrum for a general finite group.
 
     Takes one skeleton per maximal elementary abelian p-section and quotients
@@ -573,7 +575,7 @@ def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP):
     built, so a transport that leaves them fails early.
     """
     _check_rank_cap(G, p, cap_rank)
-    cat = SectionCategory(G, p)
+    cat = SectionCategory(G, p, cap_order)
     reps = cat.maxel()
     rels = cat.maximal_relations(reduction=reduction)
     plats = [SectionPlatform(x, p, level, cap_rank) for x in reps]
@@ -626,13 +628,13 @@ def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP):
     return glued
 
 
-def components(G, p, cap_rank=DEFAULT_RANK_CAP):
+def components(G, p, cap_rank=DEFAULT_RANK_CAP, cap_order=DEFAULT_ORDER_CAP):
     """One (maximal section, generic-point class) per irreducible component.
 
     A component's generic point is eta(1) of its section's skeleton, or the
     skeleton's only point M(1) when the section has rank 0 (a p'-group).
     """
-    glued = glue(G, p, level="strata", cap_rank=cap_rank)
+    glued = glue(G, p, level="strata", cap_rank=cap_rank, cap_order=cap_order)
     generic = {ci: "eta(1)" if x.rank() else "M(1)" for x, ci in glued.sections}
     out = []
     for c, prov in sorted(glued.provenance.items()):
@@ -643,21 +645,21 @@ def components(G, p, cap_rank=DEFAULT_RANK_CAP):
     return out
 
 
-def dimension(G, p, cap_rank=DEFAULT_RANK_CAP):
+def dimension(G, p, cap_rank=DEFAULT_RANK_CAP, cap_order=DEFAULT_ORDER_CAP):
     """Krull dimension of the spectrum: the sectional p-rank of G."""
     _check_rank_cap(G, p, cap_rank)
-    glued = glue(G, p, level="strata", cap_rank=cap_rank)
+    glued = glue(G, p, level="strata", cap_rank=cap_rank, cap_order=cap_order)
     dim = max(x.rank() for x, _ in glued.sections)
     assert glued.height() == dim, "longest chain disagrees with sectional rank"
     return dim
 
 
-def p_rank(G, p):
+def p_rank(G, p, cap_order=DEFAULT_ORDER_CAP):
     """Maximal rank of an elementary abelian p-subgroup of G."""
     one = G.trivial_subgroup()
     return max(
         p_rank_of_section(E, one, p)
-        for E in p_subgroups(G, p)
+        for E in p_subgroups(G, p, cap_order)
         if is_elementary_abelian(E, p)
     )
 

@@ -18,6 +18,10 @@ The closure transport (closure_ideal) moves an ideal of the rank-r cohomology
 into the stratum of H: push into the common localization where both the
 H-localization and the 1-localization embed, contract back to R'_E(H), then
 collapse along the quotient map to the cohomology of E/H.
+
+Presentations and the localize-and-contract step read only p, the rank and
+which kernels contain H (H's vectors), so every labelling of E shares them;
+only the collapse to E/H reads the labelled table.
 """
 
 import functools
@@ -92,6 +96,10 @@ def leading_scalar(f, p):
     return next(c % p for c in f if c % p)
 
 
+def _label(f):
+    return "".join(str(c) for c in f)
+
+
 class Coordinate:
     """A canonical surjection E -> C_p, stored as its functional."""
 
@@ -99,7 +107,7 @@ class Coordinate:
         self.ea = ea
         self.f = tuple(c % ea.p for c in f)
         assert self.f == canonical_functional(self.f, ea.p)
-        self.label = "".join(str(c) for c in self.f)
+        self.label = _label(self.f)
 
     @property
     def kernel(self):
@@ -115,36 +123,41 @@ class Coordinate:
         return f"Coordinate({self.label})"
 
 
+def _functionals(p, rank):
+    """The canonical functionals on F_p^rank (first nonzero entry 1), in lex
+    order: one per index-p subgroup."""
+    return [
+        f for f in itertools.product(range(p), repeat=rank)
+        if any(f) and f == canonical_functional(f, p)
+    ]
+
+
 def coordinates(ea):
     """One canonical coordinate per index-p subgroup, in lex order."""
-    out = []
+    return [Coordinate(ea, f) for f in _functionals(ea.p, ea.rank)]
+
+
+def _triples(p, rank):
+    """(f1, f2, f3, lam3) with f3 = -(f1 + f2) / lam3 canonical, one per
+    triple of distinct kernels, in lex order of (f1, f2)."""
     seen = set()
-    for f in itertools.product(range(ea.p), repeat=ea.rank):
-        if all(c == 0 for c in f):
+    for f1, f2 in itertools.combinations(_functionals(p, rank), 2):
+        f3p = tuple((-(a + b)) % p for a, b in zip(f1, f2))
+        if not any(f3p):
+            continue  # f2 = -f1: same kernel, no triple
+        f3 = canonical_functional(f3p, p)
+        key = frozenset((f1, f2, f3))
+        if len(key) < 3 or key in seen:
             continue
-        cf = canonical_functional(f, ea.p)
-        if cf not in seen:
-            seen.add(cf)
-            out.append(Coordinate(ea, cf))
-    out.sort(key=lambda c: c.f)
-    return out
+        seen.add(key)
+        yield f1, f2, f3, leading_scalar(f3p, p)
 
 
 def dependent_triples(ea):
     """(c1, c2, c3, lam3) with pi3^{lam3} = (pi1 pi2)^{-1}, one per triple of
     distinct kernels, in lex order of (c1, c2)."""
-    p = ea.p
-    seen = set()
-    for c1, c2 in itertools.combinations(coordinates(ea), 2):
-        f3p = tuple((-(a + b)) % p for a, b in zip(c1.f, c2.f))
-        if not any(f3p):
-            continue  # c2 = -c1: same kernel, no triple
-        c3 = Coordinate(ea, canonical_functional(f3p, p))
-        key = frozenset((c1.label, c2.label, c3.label))
-        if len(key) < 3 or key in seen:
-            continue
-        seen.add(key)
-        yield c1, c2, c3, leading_scalar(f3p, p)
+    for f1, f2, f3, lam3 in _triples(ea.p, ea.rank):
+        yield Coordinate(ea, f1), Coordinate(ea, f2), Coordinate(ea, f3), lam3
 
 
 class LocalRingSpec:
@@ -189,29 +202,41 @@ present_Rloc = local_ring
 
 
 def _build_local_ring(ea, H):
-    p = ea.p
+    plus = _plus_labels(ea.p, ea.rank, [ea.vec_of[h] for h in H.elements])
+    return LocalRingSpec(ea, H, *_presentation(ea.p, ea.rank, plus))
+
+
+def _plus_labels(p, rank, vectors):
+    """Labels of the coordinates whose functional vanishes on every vector:
+    the kernels N >= H when the vectors are H's."""
+    return frozenset(
+        _label(f) for f in _functionals(p, rank)
+        if not any(sum(a * b for a, b in zip(f, v)) % p for v in vectors)
+    )
+
+
+@functools.cache
+def _presentation(p, rank, plus):
+    """(presentation, plus_of, minus_of) of R'_E(H) for E of this rank, where
+    plus holds the labels of the kernels N >= H.  Names and relations read
+    nothing else, so every labelling of E shares one presentation and its
+    Groebner memos."""
     d = two_prime(p)
-    coords = coordinates(ea)
-    plus_of, minus_of, variables = {}, {}, []
-    for c in coords:
-        if c.kernel.contains_subgroup(H):
-            plus_of[c.label] = f"zp_{c.label}"
-        else:
-            minus_of[c.label] = f"zm_{c.label}"
-    for lbl in sorted(plus_of):
-        variables.append((plus_of[lbl], d))
-    for lbl in sorted(minus_of):
-        variables.append((minus_of[lbl], -d))
+    labels = [_label(f) for f in _functionals(p, rank)]
+    plus_of = {lbl: f"zp_{lbl}" for lbl in labels if lbl in plus}
+    minus_of = {lbl: f"zm_{lbl}" for lbl in labels if lbl not in plus}
+    variables = [(plus_of[lbl], d) for lbl in sorted(plus_of)]
+    variables += [(minus_of[lbl], -d) for lbl in sorted(minus_of)]
     pres = GradedPresentation(p, variables)
 
-    def slot(coord, lam):
+    def slot(f, lam):
         # N >= H: a := lam*zp_N, b := 1; otherwise a := 1, b := zm_N / lam
-        lbl = coord.label
-        if lbl in plus_of:
+        lbl = _label(f)
+        if lbl in plus:
             return pscale(pres.var(f"zp_{lbl}"), lam, p), pres.one()
         return pres.one(), pscale(pres.var(f"zm_{lbl}"), pow(lam, p - 2, p), p)
 
-    rels = [_master_instance(p, slot, *t) for t in dependent_triples(ea)]
+    rels = [_master_instance(p, slot, *t) for t in _triples(p, rank)]
     rels = [r for r in rels if r]
     # discard duplicate relations by normal form of the polynomials
     uniq, seen = [], set()
@@ -220,14 +245,13 @@ def _build_local_ring(ea, H):
         if key not in seen:
             seen.add(key)
             uniq.append(r)
-    pres2 = GradedPresentation(p, variables, relations=uniq)
-    return LocalRingSpec(ea, H, pres2, plus_of, minus_of)
+    return GradedPresentation(p, variables, relations=uniq), plus_of, minus_of
 
 
-def _master_instance(p, slot, c1, c2, c3, lam3):
+def _master_instance(p, slot, f1, f2, f3, lam3):
     """a1*b2*b3 + b1*a2*b3 + lam3*b1*b2*a3 in the ring whose substitution
-    slot(coordinate, lam) gives the pair (a, b) with the scalar lam folded in."""
-    (a1, b1), (a2, b2), (a3, b3) = slot(c1, 1), slot(c2, 1), slot(c3, lam3)
+    slot(functional, lam) gives the pair (a, b) with the scalar lam folded in."""
+    (a1, b1), (a2, b2), (a3, b3) = slot(f1, 1), slot(f2, 1), slot(f3, lam3)
     t1 = pmul(a1, pmul(b2, b3, p), p)
     t2 = pmul(b1, pmul(a2, b3, p), p)
     t3 = pmul(b1, pmul(b2, a3, p), p)
@@ -255,12 +279,12 @@ def present_Rtotal(E, p):
     variables += [(f"b_{c.label}", -d, twist(c.label)) for c in coords]
     pres = GradedPresentation(p, variables, twist_len=nt)
 
-    def slot(coord, lam):
+    def slot(f, lam):
         # a := lam*a_N, b := b_N
-        lbl = coord.label
+        lbl = _label(f)
         return pscale(pres.var(f"a_{lbl}"), lam, p), pres.var(f"b_{lbl}")
 
-    rels = [_master_instance(p, slot, *t) for t in dependent_triples(ea)]
+    rels = [_master_instance(p, slot, *t) for t in _triples(p, ea.rank)]
     return GradedPresentation(p, variables, relations=rels, twist_len=nt)
 
 
@@ -352,30 +376,22 @@ class GlueIso:
         self.to_H = to_H
 
 
-def _localized_presentation(spec, invert_labels):
-    """Extend a local ring by inverses of the generators at the given kernels."""
-    pres = spec.presentation
+def _localized_presentation(pres, names):
+    """Extend a presentation by inverses inv_x of the named generators x."""
     variables = list(zip(pres.varnames, pres.degrees))
-    inv_of = {}
-    for lbl in sorted(invert_labels):
-        name = spec.varname(lbl)
-        deg = pres.degrees[pres.index[name]]
-        inv = f"inv_{name}"
-        variables.append((inv, -deg))
-        inv_of[lbl] = inv
-    extra = len(inv_of)
+    variables += [(f"inv_{name}", -pres.degrees[pres.index[name]]) for name in names]
+    extra = len(names)
     rels = [{m + (0,) * extra: c for m, c in r.items()} for r in pres.relations]
     allnames = [v for v, _ in variables]
-    for lbl, inv in inv_of.items():
-        name = spec.varname(lbl)
+    for name in names:
+        inv = f"inv_{name}"
         rels.append(
             {
                 tuple((1 if v in (name, inv) else 0) for v in allnames): 1,
-                (0,) * len(allnames): spec.p - 1,
+                (0,) * len(allnames): pres.p - 1,
             }
         )
-    final = GradedPresentation(spec.p, variables, relations=rels, check=False)
-    return final, inv_of
+    return GradedPresentation(pres.p, variables, relations=rels, check=False)
 
 
 def glue_iso(E, H, K, p):
@@ -387,13 +403,15 @@ def glue_iso(E, H, K, p):
     """
     sH = local_ring(E, H, p)
     sK = local_ring(E, K, p)
-    disagree = [
+    disagree = sorted(
         lbl
         for lbl in sH.coordinate
         if (lbl in sH.plus_of) != (lbl in sK.plus_of)
-    ]
-    locH, _ = _localized_presentation(sH, disagree)
-    locK, _ = _localized_presentation(sK, disagree)
+    )
+    locH, locK = (
+        _localized_presentation(s.presentation, [s.varname(lbl) for lbl in disagree])
+        for s in (sH, sK)
+    )
 
     def dictionary(src_spec, tgt_spec, src_loc, tgt_loc):
         images = []
@@ -432,29 +450,32 @@ def closure_ideal(E, H, I, p):
 
 @functools.cache
 def _closure_ideal(E, elements, p, gens):
-    """closure_ideal of the ideal with these canonical generators; the ring
-    of E is the one closure_ideal has just looked up."""
-    spec1 = _local_ring(E, (0,), p)
-    I = HomogeneousIdeal(spec1.presentation, [dict(g) for g in gens], check=False)
+    """closure_ideal of the ideal with these canonical generators.  The
+    contraction reads only H's vectors; the collapse to E/H reads labels."""
     H = Subgroup(E, elements, check=False)
     specH = local_ring(E, H, p)
-    # common localization T: all zp_N, plus inverses of zp_M for M not >= H
-    T, inv_of = _localized_presentation(spec1, specH.minus_of)
-    into_T = GradedRingHom(
-        spec1.presentation, T, [T.var(v) for v in spec1.presentation.varnames],
-        check=False,
-    )
-    J_T = into_T.apply_ideal(I)
-    name_in_T = {specH.minus_of[lbl]: inv for lbl, inv in inv_of.items()}
-    Q = GradedRingHom(
-        specH.presentation,
-        T,
-        [T.var(name_in_T.get(v, v)) for v in specH.presentation.varnames],
-    )
-    pulled = contract(Q, J_T)
+    vectors = tuple(sorted(specH.ea.vec_of[h] for h in elements))
+    pulled = _contracted_closure(p, specH.ea.rank, vectors, gens)
     # reinterpret the pulled generators inside R'_E(H), then collapse the zm's
     psiH = psi_hom(E, H, H, p)
     return psiH.apply_ideal(
         HomogeneousIdeal(specH.presentation,
                          [dict(g) for g in pulled.generators], check=False)
     )
+
+
+@functools.cache
+def _contracted_closure(p, rank, vectors, gens):
+    """The ideal with these canonical generators in R'_E(1), moved into the
+    common localization and contracted to R'_E(H), where H is spanned by the
+    vectors.  Every labelling of E with these vectors shares the result."""
+    # no vector: every kernel contains the trivial subgroup
+    pres1, _, _ = _presentation(p, rank, _plus_labels(p, rank, ()))
+    presH, _, minus_of = _presentation(p, rank, _plus_labels(p, rank, vectors))
+    I = HomogeneousIdeal(pres1, [dict(g) for g in gens], check=False)
+    # common localization T: all zp_N, plus inverses of zp_M for M not >= H
+    T = _localized_presentation(pres1, [f"zp_{lbl}" for lbl in sorted(minus_of)])
+    into_T = GradedRingHom(pres1, T, [T.var(v) for v in pres1.varnames], check=False)
+    name_in_T = {zm: f"inv_zp_{lbl}" for lbl, zm in minus_of.items()}
+    Q = GradedRingHom(presH, T, [T.var(name_in_T.get(v, v)) for v in presH.varnames])
+    return contract(Q, into_T.apply_ideal(I))

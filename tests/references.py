@@ -5,6 +5,7 @@ needs."""
 import numpy as np
 
 from permspec import modp
+from permspec.groups import FiniteGroup
 from permspec.spectra import (
     KIND_CUSTOM,
     KIND_RATIONAL,
@@ -50,3 +51,17 @@ def rational_preimage_by_search(E, p, point):
     ea = spec.ea
     line = {ea.elem_of[tuple((k * c) % p for c in ea.vec_of[gen])] for k in range(p)}
     return E.subgroup([x for x in range(E.order) if int(proj.map[x]) in line])
+
+
+def relabelled(G, k=5):
+    """G with element i > 0 renamed 1 + k(i - 1) mod (|G| - 1), for k prime to
+    |G| - 1.  Its subgroups get other element tuples and its elementary
+    abelian quotients other greedy bases than the constructors' own."""
+    n = G.order
+    sigma = [0] + [1 + (i - 1) * k % (n - 1) for i in range(1, n)]
+    assert sorted(sigma) == list(range(n))
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[sigma[a]][sigma[b]] = sigma[G.mul(a, b)]
+    return FiniteGroup(table)

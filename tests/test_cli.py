@@ -175,6 +175,25 @@ def test_resource_limit(capsys):
     assert code == EXIT_RESOURCE and "resource limit" in err
 
 
+# GL(3,2), of order 168, on the seven nonzero vectors of F_2^3
+GL32 = '{"kind":"perm","degree":7,"generators":[[[1,5],[2,6]],[[0,5,2,6,4,3,1]]]}'
+
+
+def test_cap_order_reaches_the_subgroup_lattice(capsys):
+    code, out, err = run(capsys, "sections", "--group", GL32, "--prime", "7",
+                         "--cap-order", "200")
+    assert code == EXIT_OK, err
+    assert out.startswith("17 sections")
+    # dim goes through glue, the section category and p_rank
+    code, out, err = run(capsys, "dim", "--group", GL32, "--prime", "7",
+                         "--cap-order", "200")
+    assert code == EXIT_OK, err
+    assert out == "dimension 1\np-rank 1\n"
+    code, _, err = run(capsys, "sections", "--group", GL32, "--prime", "7",
+                       "--cap-order", "100")
+    assert code == EXIT_RESOURCE and "exceeds cap 100" in err
+
+
 def test_components_of_p_prime_group(capsys):
     code, out, _ = run(capsys, "components", "--group", "cyclic:3", "--prime", "2")
     assert code == EXIT_OK

@@ -15,6 +15,9 @@ import pathlib
 import pytest
 
 from permspec.cli import main
+from permspec.groups import cyclic, dihedral, product
+
+from references import relabelled
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -22,6 +25,16 @@ C4XC4 = '{"kind":"product","factors":[{"kind":"cyclic","n":4},{"kind":"cyclic","
 # S3 is the dihedral group of order 6
 C3XS3 = '{"kind":"product","factors":[{"kind":"cyclic","n":3},{"kind":"dihedral","order":6}]}'
 D8XC2 = '{"kind":"product","factors":[{"kind":"dihedral","order":8},{"kind":"cyclic","n":2}]}'
+
+
+def table_spec(G):
+    return json.dumps({"kind": "table", "table": G.table.tolist()}, separators=(",", ":"))
+
+
+# stratum quotients of these tables differ from the constructors' own, so
+# ring keys that read the labelled table would miss where content keys hit
+C3XC9_RELABELLED = table_spec(relabelled(product(cyclic(3), cyclic(9))))
+C3XS3_RELABELLED = table_spec(relabelled(product(cyclic(3), dihedral(6))))
 
 CASES = {
     "sections_klein": ["sections", "--group", "klein"],
@@ -52,6 +65,10 @@ CASES = {
     "glue_c4xc4_json": ["glue", "--group", C4XC4, "--format", "json"],
     "glue_c3xs3_p3_json": [
         "glue", "--group", C3XS3, "--prime", "3", "--format", "json"],
+    "glue_c3xc9_relabelled_p3_json": [
+        "glue", "--group", C3XC9_RELABELLED, "--prime", "3", "--format", "json"],
+    "glue_c3xs3_relabelled_p3_json": [
+        "glue", "--group", C3XS3_RELABELLED, "--prime", "3", "--format", "json"],
     # the first glue golden of sectional rank 3
     "glue_d8xc2_strata_json": [
         "glue", "--group", D8XC2, "--level", "strata", "--format", "json"],

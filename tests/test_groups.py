@@ -208,6 +208,23 @@ def test_digest_is_exact():
                 assert hash(G) == hash(H)
 
 
+def test_equality_compares_digests(monkeypatch):
+    klein = elementary_abelian(2, 2)
+    c2c4 = product(cyclic(2), cyclic(4))
+    same = FiniteGroup(klein.table.tolist())
+    moved = _relabel(c2c4, [0, 2, 1, 3, 4, 6, 5, 7])
+    c4, c8 = cyclic(4), cyclic(8)
+
+    def refuse(*args):
+        raise AssertionError("group equality compares whole tables")
+
+    monkeypatch.setattr(np, "array_equal", refuse)
+    assert klein == same and klein is not same and hash(klein) == hash(same)
+    assert c2c4 != moved and moved == moved
+    assert c4 != c8 and c8 != c4 and c4 != klein
+    assert klein != klein.table.tolist() and klein != None and klein != "klein"
+
+
 def _reference_subgroups(G):
     """The pairwise-join lattice, kept as the reference for `subgroups`:
     every pass joins all pairs of subgroups found so far, by closure under

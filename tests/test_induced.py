@@ -41,7 +41,7 @@ from permspec.twisted import (
     res_hom,
 )
 
-from references import functional_of_kernel
+from references import functional_of_kernel, relabelled
 
 GROUPS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 
@@ -272,11 +272,14 @@ class _Captured(Exception):
 
 
 def _fresh_closure_memo(monkeypatch):
-    """Give closure_ideal an empty memo under this monkeypatch only, so the
-    module's warm memo is back for the tests after it."""
+    """Give closure_ideal empty memos under this monkeypatch only, so the
+    module's warm memos are back for the tests after it: (the memo keyed on
+    the labelled group, the contraction memo keyed on H's vectors)."""
     memo = functools.cache(twisted._closure_ideal.__wrapped__)
+    shared = functools.cache(twisted._contracted_closure.__wrapped__)
     monkeypatch.setattr(twisted, "_closure_ideal", memo)
-    return memo
+    monkeypatch.setattr(twisted, "_contracted_closure", shared)
+    return memo, shared
 
 
 def _contract_inputs(monkeypatch, E, H, I, p):
@@ -329,7 +332,7 @@ def test_closure_transport_localizes_as_the_reference(monkeypatch):
 
 
 def test_closure_of_family_tokens_matches_the_reference(monkeypatch):
-    memo = _fresh_closure_memo(monkeypatch)
+    memo, _ = _fresh_closure_memo(monkeypatch)
     cases = 0
     for p, Qp, Hbar, token in _token_transports():
         if p == 2 and Qp.order == 8 and Hbar.order > 2:
@@ -343,6 +346,48 @@ def test_closure_of_family_tokens_matches_the_reference(monkeypatch):
     # stratum quotients with equal tables share an entry
     info = memo.cache_info()
     assert info.misses == info.currsize == 16
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (2, 3)])
+def test_relabelled_closures_match_the_reference(monkeypatch, p, r):
+    """A relabelled group takes every contraction from the memo keyed on H's
+    vectors.  Some element tuples name a stratum in both labellings with
+    other vectors, so a key on element indices would hand over a wrong one."""
+    memo, shared = _fresh_closure_memo(monkeypatch)
+    E = elementary_abelian(p, r)
+    R = relabelled(E)
+    spec1 = local_ring(E, E.trivial_subgroup(), p)
+    pres = spec1.presentation
+    ideals = [[pres.var(v)] for v in pres.varnames]
+    if p == 3:
+        ideals.append(spectra._token_ideal(spec1).generators)
+
+    def strata(G):
+        # on C2^3 the lines are where element tuples and vectors part; its
+        # planes and the whole group would add about 4 s
+        return [H for H in subgroups(G)[1:] if p == 3 or H.order == 2]
+
+    def vectors(G, H):
+        ea = local_ring(G, H, p).ea
+        return sorted(ea.vec_of[h] for h in H.elements)
+
+    # some element tuple is a stratum of both labellings, with other vectors
+    of_E = {H.elements: vectors(E, H) for H in strata(E)}
+    assert any(of_E.get(H.elements, vectors(R, H)) != vectors(R, H) for H in strata(R))
+    for H in strata(E):
+        for gens in ideals:
+            closure_ideal(E, H, gens, p)
+    cases = 0
+    for H in strata(R):
+        for gens in ideals:
+            got = closure_ideal(R, H, gens, p)
+            ref = _ref_closure_ideal(R, H, HomogeneousIdeal(pres, list(gens)), p)
+            assert got.ambient is ref.ambient
+            assert _generators(got) == _generators(ref)
+            cases += 1
+    assert cases == {3: 5 * 5, 2: 7 * 7}[p]
+    assert memo.cache_info().misses == 2 * cases
+    assert shared.cache_info().misses == cases
 
 
 def test_quotient_keeps_the_least_coset_representatives():

@@ -67,7 +67,8 @@ def _module_memos():
 def test_cache_clear_empties_every_memo(monkeypatch):
     memos = _module_memos()
     assert {f"{mod.__name__}.{name}" for mod, name, _ in memos} >= {
-        "permspec.twisted._local_ring", "permspec.twisted._closure_ideal",
+        "permspec.twisted._local_ring", "permspec.twisted._presentation",
+        "permspec.twisted._closure_ideal", "permspec.twisted._contracted_closure",
         "permspec.spectra._stratum_data", "permspec.complexes._invariant_profile",
     }
     # fresh memos for this test only: the warm ones come back afterwards

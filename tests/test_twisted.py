@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from permspec import twisted
 from permspec.groups import elementary_abelian, subgroups
 from permspec.gradedrings import (
     GradedRingHom,
@@ -25,7 +28,7 @@ from permspec.twisted import (
     res_hom,
 )
 
-from references import functional_of_kernel
+from references import functional_of_kernel, relabelled
 
 
 def _fmt(pres, f):
@@ -45,6 +48,30 @@ def test_coordinates_and_functionals():
             assert leading_scalar(c.f, p) == 1
             assert c.kernel.order == p ** (r - 1)
             assert functional_of_kernel(ea, c.kernel) == c.f
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (2, 3)])
+def test_relabelled_tables_share_one_presentation_per_split(monkeypatch, p, r):
+    """The ring of H reads only which kernels contain H, so both labellings
+    get one presentation object per split, whatever H's element tuple."""
+    for name in ("_local_ring", "_presentation"):
+        fresh = functools.cache(getattr(twisted, name).__wrapped__)
+        monkeypatch.setattr(twisted, name, fresh)
+    E = elementary_abelian(p, r)
+    by_split = {}
+    for G in (E, relabelled(E)):
+        for H in subgroups(G):
+            spec = local_ring(G, H, p)
+            by_split.setdefault(frozenset(spec.plus_of), []).append((H.elements, spec))
+    # the kernels N >= H determine H, so each split is one subgroup per group
+    assert len(by_split) == len(subgroups(E))
+    for pairs in by_split.values():
+        (tuple_e, spec_e), (tuple_r, spec_r) = pairs
+        assert spec_e is not spec_r and spec_e.ea.group is not spec_r.ea.group
+        assert spec_e.presentation is spec_r.presentation
+    # the split of some subgroup moves to another element tuple
+    assert any(tuple_e != tuple_r for (tuple_e, _), (tuple_r, _) in by_split.values())
+    assert twisted._presentation.cache_info().currsize == len(by_split)
 
 
 def test_klein_presentations():
