@@ -29,13 +29,10 @@ class FiniteGroup:
     table[a][b] is the index of the product a*b.  Index 0 is the identity.
     """
 
-    def __init__(self, table, names=None, generator_witness=None, check=True):
+    def __init__(self, table, names=None, check=True):
         self.table = np.array(table, dtype=np.int64)
         self.order = len(self.table)
         self.names = list(names) if names is not None else None
-        self.generator_witness = (
-            list(generator_witness) if generator_witness is not None else None
-        )
         self._inv = None
         self._conj = None
         self._conj_masks = {}
@@ -299,12 +296,6 @@ class GroupHom:
             self.source, [x for x in range(self.source.order) if self.map[x] == 0]
         )
 
-    def compose(self, earlier):
-        """self o earlier."""
-        return GroupHom(
-            earlier.source, self.target, self.map[earlier.map], check=False
-        )
-
 
 # -- constructors -------------------------------------------------------------
 
@@ -312,7 +303,7 @@ class GroupHom:
 def cyclic(n):
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     names = [f"s^{i}" if i else "1" for i in range(n)]
-    return FiniteGroup(table, names=names, generator_witness=[1] if n > 1 else [])
+    return FiniteGroup(table, names=names)
 
 
 def product(*groups):
@@ -364,7 +355,7 @@ def dihedral(order):
     names = [f"r^{i}" if i else "1" for i in range(n)] + [
         f"r^{i}s" if i else "s" for i in range(n)
     ]
-    return FiniteGroup(table, names=names, generator_witness=[1 % order, n])
+    return FiniteGroup(table, names=names)
 
 
 def quaternion():
@@ -393,7 +384,7 @@ def quaternion():
         return neg(r) if sign else r
 
     table = [[idx[mul(a, b)] for b in names] for a in names]
-    return FiniteGroup(table, names=names, generator_witness=[idx["i"], idx["j"]])
+    return FiniteGroup(table, names=names)
 
 
 def from_permutations(degree, generators, cap=DEFAULT_ORDER_CAP):
@@ -428,8 +419,7 @@ def from_permutations(degree, generators, cap=DEFAULT_ORDER_CAP):
     table = [
         [index[tuple(a[b[i]] for i in range(degree))] for b in elems] for a in elems
     ]
-    gw = [index[g] for g in gens]
-    return FiniteGroup(table, generator_witness=gw)
+    return FiniteGroup(table)
 
 
 def group_from_spec(spec, cap=DEFAULT_ORDER_CAP):

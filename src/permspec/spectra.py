@@ -2,21 +2,25 @@
 
 For an elementary abelian p-group E the spectrum is partitioned into strata
 indexed by the subgroups S <= E; the S-stratum is homeomorphic to the
-homogeneous spectrum of the cohomology of E/S.  A skeleton records the named
-points of every stratum:
+homogeneous spectrum of the cohomology of W = E/S, which Quillen stratifies
+by the subgroups A <= W.  A named point is the generic point of one V_A,
+written as the interval [S, P] with P the preimage of A in E; its ideal is
+generated by the coordinates that vanish on A.  A skeleton names:
 
-  * M(S)   -- the very closed point (irrelevant maximal ideal), one per stratum;
-  * eta(S) -- the stratum-generic point (zero ideal), when E/S is nontrivial;
-  * rational points of strata of rank >= 2, one per order-p subgroup of E/S
-    (the ideal cut out by the linear coordinate forms vanishing on the line);
+  * M(S)   -- the very closed point, A = 1, interval [S, S];
+  * eta(S) -- the stratum-generic point (zero ideal), A = W, interval [S, E],
+    when W is nontrivial;
+  * rational points of strata of rank >= 2, one per line A of W, interval
+    [S, pre(A)];
   * one GenericFamily token per stratum of rank >= 2, a stand-in for the
     infinite family of non-rational closed subvarieties, carried by the
-    principal ideal of an irreducible binary quadric.
+    principal ideal of an irreducible binary quadric; it lies in no proper
+    V_A, so its interval is [S, E].
 
-The specialization order between named points is decided by closure_ideal
-containment tests, with analytic shortcuts for the kinds whose closures are
-known in closed form.  For a general finite group G the skeleton is glued from
-the skeletons of the maximal elementary abelian p-sections, identifying the
+Point j lies in the closure of point i exactly when [S_j, P_j] lies inside
+[S_i, P_i]; only family tokens are ordered by closure_ideal containment
+tests.  For a general finite group G the skeleton is glued from the
+skeletons of the maximal elementary abelian p-sections, identifying the
 images of every maximal span of the section category (union-find on points).
 """
 
@@ -76,11 +80,12 @@ def _sub_label(S):
 class SpectrumPoint:
     """A named point of a skeleton: a stratum plus a homogeneous ideal."""
 
-    def __init__(self, stratum, ideal, kind, label):
+    def __init__(self, stratum, ideal, kind, label, top=None):
         self.stratum = stratum  # Subgroup of the ambient platform group
         self.ideal = ideal  # HomogeneousIdeal in the stratum's cohomology ring
         self.kind = kind
         self.label = label
+        self.top = top  # elements of the interval top P, set by _named_points
 
     def same_point(self, other):
         return (
@@ -225,32 +230,40 @@ def _stratum_data(E, elements, p):
 
 
 def _lines(spec):
-    """(vector-label, generator element) per order-p subgroup of spec's group:
+    """(vector-label, sorted elements) per order-p subgroup of spec's group:
     the canonical vectors are those of the coordinates, in the same order."""
-    return [(c.label, spec.ea.elem_of[c.f]) for c in spec.coordinate.values()]
+    ea = spec.ea
+    return [(c.label, tuple(sorted(ea.elem_of[tuple(k * a % ea.p for a in c.f)]
+                                   for k in range(ea.p))))
+            for c in spec.coordinate.values()]
 
 
-def _line_ideal(spec, gen_elem):
-    """Ideal of the rational point at the line through gen_elem."""
+def _subspace_ideal(spec, A):
+    """Ideal of the generic point of V_A, A a set of elements of spec's group:
+    the zp of the coordinates that vanish on A."""
     pres = spec.presentation
-    gens = []
-    for lbl in sorted(spec.plus_of):
-        c = spec.coordinate[lbl]
-        if spec.ea.functional_on(c.f, gen_elem) == 0:
-            gens.append(pres.var(spec.plus_of[lbl]))
-    return HomogeneousIdeal(pres, gens)
+    return HomogeneousIdeal(pres, [
+        pres.var(spec.plus_of[lbl]) for lbl in sorted(spec.plus_of)
+        if not any(spec.ea.functional_on(spec.coordinate[lbl].f, a) for a in A)
+    ])
 
 
-def _line_of(spec, ideal):
-    """The common kernel of the coordinates whose zp variable lies in the
-    ideal, as a sorted tuple, when it is a line; else None.  On a rank-1
-    stratum the zero ideal gives the whole group: rule it out first."""
+def _subspace_of(spec, ideal):
+    """The common kernel, as a sorted tuple, of the coordinates whose zp
+    variable lies in the ideal: the A with _subspace_ideal(spec, A) == ideal
+    when there is one."""
     ea = spec.ea
     fs = [spec.coordinate[lbl].f for lbl, v in spec.plus_of.items()
           if ideal.member(spec.presentation.var(v))]
-    line = tuple(x for x in range(ea.group.order)
+    return tuple(x for x in range(ea.group.order)
                  if not any(ea.functional_on(f, x) for f in fs))
-    return line if len(line) == ea.p else None
+
+
+def _kind_of(spec, A):
+    """Kind of the generic point of V_A read off |A|: very closed at A = 1
+    (also when W = 1), stratum generic at A = W, rational at a line."""
+    kinds = {spec.ea.group.order: KIND_STRATUM_GENERIC, 1: KIND_VERY_CLOSED}
+    return kinds.get(len(A), KIND_RATIONAL if len(A) == spec.p else KIND_CUSTOM)
 
 
 def _token_ideal(spec):
@@ -272,11 +285,6 @@ def _token_ideal(spec):
         nonsq = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
         poly = {mono(2, 0): 1, mono(0, 2): (p - nonsq) % p}
     return HomogeneousIdeal(pres, [poly])
-
-
-def _max_ideal(spec):
-    pres = spec.presentation
-    return HomogeneousIdeal(pres, [pres.var(v) for v in pres.varnames])
 
 
 def _move_ideal(ideal, spec_from, spec_to, iota):
@@ -346,68 +354,55 @@ def _named_points(E, p, level, cap_rank):
     for S in sorted(subgroups(E), key=lambda s: (s.order, s.elements)):
         Q, proj, spec = stratum_data(E, S, p)
         slbl = _sub_label(S)
-        points.append(
-            SpectrumPoint(S, _max_ideal(spec), KIND_VERY_CLOSED, f"M({slbl})")
-        )
-        qrank = spec.ea.rank
-        if qrank >= 1:
-            points.append(
-                SpectrumPoint(
-                    S,
-                    HomogeneousIdeal(spec.presentation, []),
-                    KIND_STRATUM_GENERIC,
-                    f"eta({slbl})",
-                )
-            )
-        if qrank >= 2 and level == "rational":
-            for vec_lbl, gen in _lines(spec):
-                points.append(
-                    SpectrumPoint(
-                        S,
-                        _line_ideal(spec, gen),
-                        KIND_RATIONAL,
-                        f"pt[{vec_lbl}]({slbl})",
-                    )
-                )
-            points.append(
-                SpectrumPoint(S, _token_ideal(spec), KIND_FAMILY, f"token({slbl})")
-            )
+        rational = spec.ea.rank >= 2 and level == "rational"
+        named = [("M", (0,))]
+        if spec.ea.rank >= 1:
+            named.append(("eta", tuple(range(Q.order))))
+        if rational:
+            named += [(f"pt[{vec_lbl}]", line) for vec_lbl, line in _lines(spec)]
+        for name, A in named:
+            points.append(SpectrumPoint(
+                S, _subspace_ideal(spec, A), _kind_of(spec, A), f"{name}({slbl})",
+                tuple(x for x in range(E.order) if int(proj.map[x]) in A),
+            ))
+        if rational:
+            points.append(SpectrumPoint(S, _token_ideal(spec), KIND_FAMILY,
+                                        f"token({slbl})", tuple(range(E.order))))
     return points
+
+
+def _interval_order(points):
+    """Strict pairs (i, j) for every point i that is no family token.
+
+    Such a point is the generic point of the interval [S_i, P_i] (stratum,
+    top), and point j lies in its closure exactly when [S_j, P_j] lies
+    inside it: S_i <= S_j and P_j <= P_i.
+    """
+    low = [set(q.stratum.elements) for q in points]
+    top = [set(q.top) for q in points]
+    return {
+        (i, j)
+        for i, P in enumerate(points) if P.kind != KIND_FAMILY
+        for j in range(len(points))
+        if j != i and low[i] <= low[j] and top[j] <= top[i]
+    }
 
 
 def _specialization_order(E, p, points):
     """Strict pairs (i, j): point j lies in the closure of point i.
 
-    Very closed points are closed; stratum generics specialize to everything
-    in the strata above; a rational point's closure is exactly itself, the
-    very closed point of its own stratum and the very closed point of the
-    preimage of its line.  Family tokens go through the general closure_ideal
+    Points other than family tokens are ordered by their intervals
+    (_interval_order); family tokens go through the general closure_ideal
     transport.
     """
     by_stratum = {}
     for j, q in enumerate(points):
         by_stratum.setdefault(tuple(q.stratum.elements), []).append(j)
     strata = {tuple(q.stratum.elements): q.stratum for q in points}
-    order = set()
+    order = _interval_order(points)
     for i, P in enumerate(points):
-        if P.kind == KIND_VERY_CLOSED:
+        if P.kind != KIND_FAMILY:
             continue
-        if P.kind == KIND_STRATUM_GENERIC:
-            for j, Q in enumerate(points):
-                if j != i and Q.stratum.contains_subgroup(P.stratum):
-                    order.add((i, j))
-            continue
-        if P.kind == KIND_RATIONAL:
-            _, projP, specP = stratum_data(E, P.stratum, p)
-            line = _line_of(specP, P.ideal)
-            pre = tuple(x for x in range(E.order) if int(projP.map[x]) in line)
-            for j, Q in enumerate(points):
-                if Q.kind != KIND_VERY_CLOSED:
-                    continue
-                if Q.stratum.elements in (P.stratum.elements, pre):
-                    order.add((i, j))
-            continue
-        # general path: family tokens
         for skey, S_Q in sorted(strata.items()):
             if not S_Q.contains_subgroup(P.stratum):
                 continue
@@ -458,15 +453,10 @@ class SectionPlatform:
 
 
 def _classify(spec, ideal):
-    pres = spec.presentation
-    if all(ideal.member(pres.var(v)) for v in pres.varnames):
-        return KIND_VERY_CLOSED
-    if ideal.is_zero():
-        return KIND_STRATUM_GENERIC
-    line = _line_of(spec, ideal)
-    if line is not None and _line_ideal(spec, line[1]) == ideal:
-        return KIND_RATIONAL
-    return KIND_CUSTOM
+    A = _subspace_of(spec, ideal)
+    if _subspace_ideal(spec, A) != ideal:
+        return KIND_CUSTOM
+    return _kind_of(spec, A)
 
 
 def transport_point(m, src_plat, tgt_plat, point):
@@ -647,7 +637,6 @@ def components(G, p, cap_rank=DEFAULT_RANK_CAP, cap_order=DEFAULT_ORDER_CAP):
 
 def dimension(G, p, cap_rank=DEFAULT_RANK_CAP, cap_order=DEFAULT_ORDER_CAP):
     """Krull dimension of the spectrum: the sectional p-rank of G."""
-    _check_rank_cap(G, p, cap_rank)
     glued = glue(G, p, level="strata", cap_rank=cap_rank, cap_order=cap_order)
     dim = max(x.rank() for x, _ in glued.sections)
     assert glued.height() == dim, "longest chain disagrees with sectional rank"

@@ -11,8 +11,8 @@ from permspec.spectra import (
     KIND_RATIONAL,
     KIND_STRATUM_GENERIC,
     KIND_VERY_CLOSED,
-    _line_ideal,
     _lines,
+    _subspace_ideal,
     stratum_data,
 )
 from permspec.twisted import canonical_functional
@@ -37,20 +37,41 @@ def classify_by_line_search(spec, ideal):
         return KIND_VERY_CLOSED
     if ideal.is_zero():
         return KIND_STRATUM_GENERIC
-    for _, gen in _lines(spec):
-        if _line_ideal(spec, gen) == ideal:
+    for _, line in _lines(spec):
+        if _subspace_ideal(spec, line) == ideal:
             return KIND_RATIONAL
     return KIND_CUSTOM
 
 
 def rational_preimage_by_search(E, p, point):
     """The subgroup of E over the line of a rational point: the line found by
-    searching every rational line for the point's ideal, then its multiples."""
+    searching every rational line for the point's ideal."""
     _, proj, spec = stratum_data(E, point.stratum, p)
-    gen = next(g for (_, g) in _lines(spec) if _line_ideal(spec, g) == point.ideal)
-    ea = spec.ea
-    line = {ea.elem_of[tuple((k * c) % p for c in ea.vec_of[gen])] for k in range(p)}
+    line = next(a for (_, a) in _lines(spec) if _subspace_ideal(spec, a) == point.ideal)
     return E.subgroup([x for x in range(E.order) if int(proj.map[x]) in line])
+
+
+def order_by_kind(E, p, points):
+    """Strict pairs (i, j) of the specialization order among the named points
+    of an elementary abelian skeleton, for every i that is no family token,
+    by one rule per kind: very closed points are closed; a stratum generic
+    specializes to every point of the strata above its own; a rational
+    point's closure is itself, the very closed point of its own stratum and
+    the very closed point of the preimage of its line."""
+    order = set()
+    for i, P in enumerate(points):
+        if P.kind == KIND_STRATUM_GENERIC:
+            order.update(
+                (i, j) for j, Q in enumerate(points)
+                if j != i and Q.stratum.contains_subgroup(P.stratum)
+            )
+        elif P.kind == KIND_RATIONAL:
+            ends = (P.stratum.elements, rational_preimage_by_search(E, p, P).elements)
+            order.update(
+                (i, j) for j, Q in enumerate(points)
+                if Q.kind == KIND_VERY_CLOSED and Q.stratum.elements in ends
+            )
+    return order
 
 
 def relabelled(G, k=5):

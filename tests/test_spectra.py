@@ -36,7 +36,11 @@ from permspec.spectra import (
     transport_point,
 )
 
-from references import classify_by_line_search, rational_preimage_by_search
+from references import (
+    classify_by_line_search,
+    order_by_kind,
+    rational_preimage_by_search,
+)
 
 
 def _kind_counts(skel):
@@ -292,12 +296,13 @@ def test_frattini_cover_rank2(monkeypatch):
 
 
 def _reference_lines(ea):
-    """One (label, generator) per line, by search: every nonzero vector in
-    lex order whose first nonzero entry is 1."""
+    """One (label, sorted elements) per line, by search: every nonzero vector
+    in lex order whose first nonzero entry is 1, with its multiples."""
     out = []
     for vec in itertools.product(range(ea.p), repeat=ea.rank):
         if any(vec) and next(c for c in vec if c) == 1:
-            out.append(("".join(str(c) for c in vec), ea.elem_of[vec]))
+            line = {ea.elem_of[tuple(k * c % ea.p for c in vec)] for k in range(ea.p)}
+            out.append(("".join(str(c) for c in vec), tuple(sorted(line))))
     return out
 
 
@@ -377,43 +382,72 @@ def test_glued_json_provenance():
     json.dumps(data)  # serializable
 
 
-# -- lines read off their ideals, checked against the line searches -------------------
+# -- subspaces read off their ideals, checked against the line searches ---------------
 
 
 EA_GROUPS = [(2, 3), (3, 2), (5, 2)]
 
 
 @pytest.mark.parametrize("p, r", EA_GROUPS, ids=["C2^3", "C3^2", "C5^2"])
-def test_line_of_inverts_line_ideal(p, r):
+def test_subspace_of_inverts_subspace_ideal(p, r):
+    E = elementary_abelian(p, r)
+    kinds = Counter()
+    for S in subgroups(E):
+        Q, _, spec = spectra.stratum_data(E, S, p)
+        rank_w = spec.ea.rank
+        for A in subgroups(Q):
+            ideal = spectra._subspace_ideal(spec, A.elements)
+            assert spectra._subspace_of(spec, ideal) == A.elements
+            rank_a = {p ** k: k for k in range(rank_w + 1)}[A.order]
+            if rank_a == 0:
+                want = KIND_VERY_CLOSED
+            elif rank_a == rank_w:
+                want = KIND_STRATUM_GENERIC
+            elif rank_a == 1:
+                want = KIND_RATIONAL
+            else:  # 2 <= rank A <= rank W - 1: no named point yet
+                want = KIND_CUSTOM
+            assert spectra._classify(spec, ideal) == want
+            assert classify_by_line_search(spec, ideal) == want
+            kinds[want] += 1
+    # one A per Quillen stratum of each stratum quotient
+    assert kinds == {
+        (2, 3): {KIND_VERY_CLOSED: 16, KIND_STRATUM_GENERIC: 15,
+                 KIND_RATIONAL: 28, KIND_CUSTOM: 7},
+        (3, 2): {KIND_VERY_CLOSED: 6, KIND_STRATUM_GENERIC: 5, KIND_RATIONAL: 4},
+        (5, 2): {KIND_VERY_CLOSED: 8, KIND_STRATUM_GENERIC: 7, KIND_RATIONAL: 6},
+    }[p, r]
+
+
+@pytest.mark.parametrize("p, r", EA_GROUPS, ids=["C2^3", "C3^2", "C5^2"])
+def test_subspace_of_reads_lines(p, r):
     E = elementary_abelian(p, r)
     lines = 0
     for S in subgroups(E):
-        _, _, spec = spectra.stratum_data(E, S, p)
+        Q, _, spec = spectra.stratum_data(E, S, p)
         ea = spec.ea
-        for _, gen in spectra._lines(spec):
-            want = tuple(sorted(
-                ea.elem_of[tuple((k * c) % p for c in ea.vec_of[gen])] for k in range(p)
-            ))
-            ideal = spectra._line_ideal(spec, gen)
-            assert spectra._line_of(spec, ideal) == want
+        subs = {A.elements for A in subgroups(Q)}
+        for _, line in spectra._lines(spec):
+            assert len(line) == p and line in subs
+            ideal = spectra._subspace_ideal(spec, line)
+            assert spectra._subspace_of(spec, ideal) == line
             lines += 1
             if ea.rank < 2:
                 continue
             # the line ideal plus the square of a coordinate off the line has
             # the same line but is no rational point
             lbl = next(l for l, c in spec.coordinate.items()
-                       if ea.functional_on(c.f, gen))
+                       if ea.functional_on(c.f, line[1]))
             x = spec.presentation.var(spec.plus_of[lbl])
             fatter = HomogeneousIdeal(
                 spec.presentation, [dict(g) for g in ideal.generators] + [pmul(x, x, p)]
             )
-            assert spectra._line_of(spec, fatter) == want
+            assert spectra._subspace_of(spec, fatter) == line
             for I, kind in ((ideal, KIND_RATIONAL), (fatter, KIND_CUSTOM)):
                 assert spectra._classify(spec, I) == kind
                 assert classify_by_line_search(spec, I) == kind
-        assert spectra._line_of(spec, spectra._max_ideal(spec)) is None
         if ea.rank >= 2:
-            assert spectra._line_of(spec, spectra._token_ideal(spec)) is None
+            assert spectra._classify(spec, spectra._token_ideal(spec)) == KIND_CUSTOM
     # one line per order-p subgroup of each stratum quotient
     assert lines == {(2, 3): 7 + 7 * 3 + 7, (3, 2): 4 + 4, (5, 2): 6 + 6}[p, r]
 
@@ -430,11 +464,13 @@ def test_move_ideal_carries_lines_forward():
     theta = [ea.elem_of[(v[1], (v[0] + v[1]) % p)]
              for v in (ea.vec_of[x] for x in range(E.order))]
     moved = 0
-    for _, gen in spectra._lines(spec):
-        got = spectra._move_ideal(spectra._line_ideal(spec, gen), spec, spec, theta)
-        assert got == spectra._line_ideal(spec, theta[gen])
-        moved += spectra._line_of(spec, got) != spectra._line_of(
-            spec, spectra._line_ideal(spec, gen))
+    for _, line in spectra._lines(spec):
+        ideal = spectra._subspace_ideal(spec, line)
+        got = spectra._move_ideal(ideal, spec, spec, theta)
+        image = tuple(sorted(theta[x] for x in line))
+        assert got == spectra._subspace_ideal(spec, image)
+        assert spectra._subspace_of(spec, got) == image
+        moved += image != line
     assert moved == 4
     for S in subgroups(E):
         if S.order != p:
@@ -445,7 +481,26 @@ def test_move_ideal_carries_lines_forward():
         iota = [next(x for x in L.elements if proj.map[x] == q) for q in range(p)]
         zero = HomogeneousIdeal(specQ.presentation, [])
         got = spectra._move_ideal(zero, specQ, spec, iota)
-        assert got == spectra._line_ideal(spec, L.elements[1])
+        assert got == spectra._subspace_ideal(spec, L.elements)
+
+
+@pytest.mark.parametrize(
+    "p, r, level",
+    [(2, 2, "rational"), (3, 2, "rational"), (5, 2, "rational"),
+     (2, 3, "rational"), (3, 3, "rational"), (2, 4, "rational"),
+     (2, 3, "strata"), (3, 3, "strata"), (2, 4, "strata")],
+    ids=["C2^2", "C3^2", "C5^2", "C2^3", "C3^3", "C2^4",
+         "C2^3-strata", "C3^3-strata", "C2^4-strata"],
+)
+def test_interval_order_matches_the_rules_by_kind(p, r, level):
+    E = elementary_abelian(p, r)
+    points = spectra._named_points(E, p, level, r)
+    order = spectra._interval_order(points)
+    assert order == order_by_kind(E, p, points)
+    # family tokens are targets only: the closure transport orders them
+    tokens = {j for j, pt in enumerate(points) if pt.kind == KIND_FAMILY}
+    assert not any(i in tokens for (i, _) in order)
+    assert (level == "rational") == any(j in tokens for (_, j) in order)
 
 
 @pytest.mark.parametrize("p, r", EA_GROUPS, ids=["C2^3", "C3^2", "C5^2"])
