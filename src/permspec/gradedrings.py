@@ -1,10 +1,13 @@
 """Finitely presented graded-commutative algebras over F_p.
 
 Polynomials are sparse dicts {exponent tuple: coefficient mod p}.  The engine
-is a plain Buchberger implementation with degree-reverse-lexicographic and
-block-elimination orders; everything downstream (ideal membership, equality,
-saturation, elimination, contraction along ring homomorphisms) reduces to
-normal forms against reduced Groebner bases.
+is Buchberger's algorithm with degree-reverse-lexicographic and
+block-elimination orders: S-pairs are updated by the Gebauer–Möller criteria
+and taken by total degree of their lcm, then by order key, and every reduced
+basis comes from one memo keyed by canonical generators, order and p.
+Everything downstream (ideal membership, equality, saturation, elimination,
+contraction along ring homomorphisms) reduces to normal forms against those
+bases.
 
 Variables carry an integer shift degree (and optionally a twist tuple); in
 odd characteristic only even shift degrees are supported, which keeps the
@@ -12,6 +15,7 @@ ring honestly commutative.  For p = 2 signs are invisible, so odd degrees
 are allowed there.
 """
 
+import functools
 import heapq
 import itertools
 import re
@@ -177,8 +181,10 @@ def normal_form(f, basis, order, p, lead=None):
     return out
 
 
-def s_polynomial(f, g, order, p):
-    (mf, cf), (mg, cg) = leading(f, order), leading(g, order)
+def s_polynomial(f, g, lead_f, lead_g, p):
+    """S-polynomial of f and g; `lead_f` and `lead_g` start with their
+    leading monomials and coefficients, as `leading` and `_lead` return them."""
+    (mf, cf), (mg, cg) = lead_f[:2], lead_g[:2]
     lcm = _lcm(mf, mg)
     tf = {_mono_div(lcm, mf): pow(cf, p - 2, p)}
     tg = {_mono_div(lcm, mg): pow(cg, p - 2, p)}
@@ -186,63 +192,98 @@ def s_polynomial(f, g, order, p):
 
 
 def buchberger(gens, order, p):
-    """Reduced Groebner basis (sorted by leading monomial, monic)."""
+    """Reduced Groebner basis (sorted by leading monomial, monic).
+
+    Each new element updates the S-pairs by the Gebauer–Möller criteria
+    (JSC 1988), and pairs are taken by total degree of their lcm, then by
+    its order key.
+    """
     key = order.key
-    basis = [pnormal(g, p) for g in gens]
-    basis = [g for g in basis if g]
-    lead = [_lead(g, order) for g in basis]  # taken once per element
-    # Heap of S-pairs (key of the lcm, -arrival, i, j): the smallest lcm comes
-    # first (normal selection), and of pairs with equal lcms the newest one.
+    basis, lead = [], []  # leading terms taken once per element
+    alive = []  # elements whose leading terms no later element divides
+    # heap of S-pairs (degree and key of the lcm, -arrival, i, j, lcm): of
+    # pairs with equal lcms the newest comes first
     pairs = []
     arrivals = itertools.count()
 
-    def add_pairs(new):
-        for i, j in new:
-            mi, mj = lead[i][0], lead[j][0]
-            lcm = _lcm(mi, mj)
-            n = -next(arrivals)
-            if lcm != _mono_mul(mi, mj):  # coprime leading terms give nothing
-                heapq.heappush(pairs, (key(lcm), n, i, j))
+    def add(h):
+        hi = len(basis)
+        basis.append(h)
+        lead.append(_lead(h, order))
+        mh = lead[hi][0]
+        # B: a queued pair goes when lt(h) divides its lcm and h's lcm with
+        # neither of its elements equals it
+        kept = [
+            q for q in pairs
+            if not (_divides(mh, q[5]) and _lcm(lead[q[3]][0], mh) != q[5]
+                    and _lcm(lead[q[4]][0], mh) != q[5])
+        ]
+        if len(kept) < len(pairs):
+            pairs[:] = kept
+            heapq.heapify(pairs)
+        # lcm(g, h) = lt(h) * u, u the part of lt(g) outside lt(h).  F: one
+        # pair per u, and none if a g of that u is coprime to h (the product
+        # criterion); M: none when a smaller u divides u.
+        first = {}
+        for g in alive:
+            mg = lead[g][0]
+            u = tuple(map(sub, map(max, mg, mh), mh))
+            g0, coprime = first.get(u, (g, False))
+            first[u] = (g0, coprime or u == mg)
+        minimal = []
+        for u in sorted(first, key=sum):
+            if not any(_divides(v, u) for v in minimal):
+                minimal.append(u)
+                g, coprime = first[u]
+                if not coprime:
+                    lcm = _mono_mul(mh, u)
+                    item = (sum(lcm), key(lcm), -next(arrivals), g, hi, lcm)
+                    heapq.heappush(pairs, item)
+        alive[:] = [g for g in alive if not _divides(mh, lead[g][0])] + [hi]
 
-    add_pairs(itertools.combinations(range(len(basis)), 2))
+    for g in gens:
+        g = pnormal(g, p)
+        if g:
+            add(g)
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        s = s_polynomial(basis[i], basis[j], order, p)
+        *_, i, j, _ = heapq.heappop(pairs)
+        s = s_polynomial(basis[i], basis[j], lead[i], lead[j], p)
         r = normal_form(s, basis, order, p, lead)
         if r:
-            j = len(basis)
-            basis.append(r)
-            lead.append(_lead(r, order))
-            add_pairs((k, j) for k in range(j))
-    # minimalize
-    keep = []
-    for i, (lm, _, _) in enumerate(lead):
-        if any(
-            _divides(lead[k][0], lm)
-            for k in itertools.chain(keep, range(i + 1, len(basis)))
-        ):
-            continue
-        keep.append(i)
-    minimal = [basis[i] for i in keep]
-    minimal_lead = [lead[i] for i in keep]
-    # inter-reduce and normalize
+            add(r)
+    # minimalize: no two alive leading terms are equal
+    keep = [
+        i for i in alive
+        if not any(k != i and _divides(lead[k][0], lead[i][0]) for k in alive)
+    ]
+    # inter-reduce, which keeps each leading term, and normalize
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        if others:
-            others_lead = minimal_lead[:i] + minimal_lead[i + 1:]
-            r = normal_form(g, others, order, p, others_lead)
-        else:
-            r = g
-        if r:
-            lm, lc = leading(r, order)
-            reduced.append((key(lm), pscale(r, pow(lc, p - 2, p), p)))
-    reduced.sort(key=lambda kg: kg[0])
-    return tuple(canonical(g) for _, g in reduced)
+    for i in keep:
+        others = [k for k in keep if k != i]
+        r = normal_form(
+            basis[i], [basis[k] for k in others], order, p, [lead[k] for k in others]
+        )
+        lm, lc, _ = lead[i]
+        reduced.append((key(lm), canonical(pscale(r, pow(lc, p - 2, p), p))))
+    return tuple(g for _, g in sorted(reduced))
 
 
 def canonical(f):
     return tuple(sorted(f.items()))
+
+
+def _groebner_basis(gens, nvars, block, p):
+    """Reduced Groebner basis of the ideal of gens under
+    MonomialOrder(nvars, block), read from one memo: generators that differ
+    only in order, repetition or scale share its entry."""
+    gens = [g for g in (pnormal(g, p) for g in gens) if g]
+    monic = {canonical(pscale(g, pow(g[max(g)], p - 2, p), p)) for g in gens}
+    return _reduced_basis(tuple(sorted(monic)), nvars, block, p)
+
+
+@functools.cache
+def _reduced_basis(gens, nvars, block, p):
+    return buchberger([dict(g) for g in gens], MonomialOrder(nvars, block), p)
 
 
 # -- presentations ---------------------------------------------------------------
@@ -272,7 +313,6 @@ class GradedPresentation:
             self.poly(r) if not isinstance(r, dict) else pnormal(r, p)
             for r in relations
         )
-        self._gb_cache = {}
         self._reducer_cache = {}
         if check:
             for r in self.relations:
@@ -349,14 +389,9 @@ class GradedPresentation:
     def groebner_of(self, gens, block=0):
         """Reduced GB of <gens + relations> under grevlex / block elimination."""
         self.check_regime()
-        key = (tuple(sorted(canonical(g) for g in gens)), block)
-        hit = self._gb_cache.get(key)
-        if hit is not None:
-            return hit
-        order = MonomialOrder(self.nvars, block=block)
-        gb = buchberger(list(gens) + list(self.relations), order, self.p)
-        self._gb_cache[key] = gb
-        return gb
+        return _groebner_basis(
+            list(gens) + list(self.relations), self.nvars, block, self.p
+        )
 
     def _reducer(self, gb):
         """A grevlex basis from groebner_of as dicts, with their leading
@@ -458,9 +493,8 @@ def eliminate(I, varnames):
         }
 
     gens = [reindex(g) for g in I.generators] + [reindex(r) for r in amb.relations]
-    order = MonomialOrder(amb.nvars, block=len(block_idx))
     amb.check_regime()
-    gb = buchberger(gens, order, amb.p)
+    gb = _groebner_basis(gens, amb.nvars, len(block_idx), amb.p)
     kept = []
     for g in gb:
         gd = dict(g)
@@ -690,43 +724,43 @@ def parse_poly(text, pres):
             break
         tokens.append(m.group(1))
         pos = m.end()
+    if not tokens:
+        return pres.zero()
     p = pres.p
     total = pres.zero()
-    i = 0
-    sign = 1
-    if tokens and tokens[0] in "+-":
-        sign = -1 if tokens[0] == "-" else 1
-        i = 1
-    while i < len(tokens):
+    i = 1 if tokens[0] in "+-" else 0
+    sign = -1 if tokens[0] == "-" else 1
+    while True:
         term = pres.one()
-        expect_factor = True
+        want = True  # a factor is due: at the start and after '*'
         while i < len(tokens) and tokens[i] not in "+-":
             tok = tokens[i]
-            if tok == "*":
-                i += 1
-                continue
-            if tok.isdigit():
-                term = pscale(term, int(tok), p)
-                i += 1
-            else:
-                if tok not in pres.index:
-                    raise RingError(f"unknown variable {tok!r}")
-                e = 1
-                if i + 2 < len(tokens) + 1 and i + 1 < len(tokens) and tokens[i + 1] == "^":
-                    e = int(tokens[i + 2])
+            if tok == "*" and not want:
+                want = True
+            elif tok.isdigit():
+                term, want = pscale(term, int(tok), p), False
+            elif tok in pres.index:
+                e = "1"
+                if tokens[i + 1:i + 2] == ["^"]:
+                    e = tokens[i + 2] if i + 2 < len(tokens) else ""
+                    if not e.isdigit():
+                        raise RingError(f"exponent of {tok} is not a whole number")
                     i += 2
-                v = pres.var(tok)
-                for _ in range(e):
-                    term = pmul(term, v, p)
-                i += 1
-            expect_factor = False
-        if expect_factor:
-            raise RingError("empty term")
-        total = padd(total, pscale(term, sign % p, p), p)
-        if i < len(tokens):
-            sign = -1 if tokens[i] == "-" else 1
+                mono = [0] * pres.nvars
+                mono[pres.index[tok]] = int(e)
+                term, want = pmul(term, {tuple(mono): 1}, p), False
+            elif tok[0].isalpha() or tok[0] == "_":
+                raise RingError(f"unknown variable {tok!r}")
+            else:
+                raise RingError(f"unexpected {tok!r}")
             i += 1
-    return total
+        if want:
+            raise RingError("empty term or dangling '*'")
+        total = padd(total, pscale(term, sign % p, p), p)
+        if i == len(tokens):
+            return total
+        sign = -1 if tokens[i] == "-" else 1
+        i += 1
 
 
 def format_poly(f, pres):

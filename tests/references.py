@@ -2,9 +2,26 @@
 versions of computations the package now does another way or no longer
 needs."""
 
+import heapq
+import itertools
+
 import numpy as np
 
 from permspec import modp
+from permspec.gradedrings import (
+    _divides,
+    _lcm,
+    _lead,
+    _mono_div,
+    _mono_mul,
+    canonical,
+    leading,
+    normal_form,
+    padd,
+    pmul,
+    pnormal,
+    pscale,
+)
 from permspec.groups import FiniteGroup
 from permspec.spectra import (
     KIND_CUSTOM,
@@ -86,3 +103,55 @@ def relabelled(G, k=5):
         for b in range(n):
             table[sigma[a]][sigma[b]] = sigma[G.mul(a, b)]
     return FiniteGroup(table)
+
+
+def plain_buchberger(gens, order, p):
+    """Reduced Groebner basis by Buchberger's algorithm with the product
+    criterion alone: every pair of elements with leading terms that are not
+    coprime is reduced, the smallest lcm under the order first."""
+    key = order.key
+    basis = [g for g in (pnormal(g, p) for g in gens) if g]
+    lead = [_lead(g, order) for g in basis]
+    pairs = []
+    arrivals = itertools.count()
+
+    def add_pairs(new):
+        for i, j in new:
+            mi, mj = lead[i][0], lead[j][0]
+            lcm = _lcm(mi, mj)
+            n = -next(arrivals)
+            if lcm != _mono_mul(mi, mj):
+                heapq.heappush(pairs, (key(lcm), n, i, j))
+
+    add_pairs(itertools.combinations(range(len(basis)), 2))
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        (mi, ci), (mj, cj) = leading(basis[i], order), leading(basis[j], order)
+        lcm = _lcm(mi, mj)
+        s = padd(
+            pmul({_mono_div(lcm, mi): pow(ci, p - 2, p)}, basis[i], p),
+            pmul({_mono_div(lcm, mj): p - pow(cj, p - 2, p)}, basis[j], p),
+            p,
+        )
+        r = normal_form(s, basis, order, p, lead)
+        if r:
+            j = len(basis)
+            basis.append(r)
+            lead.append(_lead(r, order))
+            add_pairs((k, j) for k in range(j))
+    keep = []
+    for i, (lm, _, _) in enumerate(lead):
+        if not any(
+            _divides(lead[k][0], lm)
+            for k in itertools.chain(keep, range(i + 1, len(basis)))
+        ):
+            keep.append(i)
+    reduced = []
+    for i in keep:
+        others = [k for k in keep if k != i]
+        r = normal_form(basis[i], [basis[k] for k in others], order, p)
+        if r:
+            lm, lc = leading(r, order)
+            reduced.append((key(lm), pscale(r, pow(lc, p - 2, p), p)))
+    reduced.sort(key=lambda kg: kg[0])
+    return tuple(canonical(g) for _, g in reduced)

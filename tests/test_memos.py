@@ -8,8 +8,12 @@ import importlib
 import pathlib
 import pkgutil
 
+import pytest
+
 import permspec
+from permspec import gradedrings
 from permspec.complexes import hom_dim
+from permspec.gradedrings import GradedPresentation, HomogeneousIdeal, buchberger
 from permspec.groups import elementary_abelian
 from permspec.spectra import skeleton
 
@@ -70,6 +74,7 @@ def test_cache_clear_empties_every_memo(monkeypatch):
         "permspec.twisted._local_ring", "permspec.twisted._presentation",
         "permspec.twisted._closure_ideal", "permspec.twisted._contracted_closure",
         "permspec.spectra._stratum_data", "permspec.complexes._invariant_profile",
+        "permspec.gradedrings._reduced_basis",
     }
     # fresh memos for this test only: the warm ones come back afterwards
     fresh = []
@@ -86,3 +91,47 @@ def test_cache_clear_empties_every_memo(monkeypatch):
         assert memo.cache_info().currsize > 0, name
         memo.cache_clear()
         assert memo.cache_info().currsize == 0, name
+
+
+@pytest.fixture
+def fresh_reduced_basis(monkeypatch):
+    """An empty `_reduced_basis` memo for one test, and the list of the
+    Buchberger runs behind it."""
+    runs = []
+
+    def counting(gens, order, p):
+        runs.append(gens)
+        return buchberger(gens, order, p)
+
+    memo = functools.cache(gradedrings._reduced_basis.__wrapped__)
+    monkeypatch.setattr(gradedrings, "_reduced_basis", memo)
+    monkeypatch.setattr(gradedrings, "buchberger", counting)
+    return memo, runs
+
+
+def test_equal_ideals_share_one_groebner_entry(fresh_reduced_basis):
+    memo, runs = fresh_reduced_basis
+    f = {(2, 0): 1, (0, 2): 2}
+    g = {(1, 1): 1}
+    gb = gradedrings._groebner_basis([f, g], 2, 0, 3)
+    # permuted, repeated and rescaled generators
+    for gens in ([g, f], [f, g, f], [{m: 2 * c for m, c in f.items()}, g]):
+        assert gradedrings._groebner_basis(gens, 2, 0, 3) == gb
+    assert memo.cache_info().currsize == 1 and len(runs) == 1
+    # another characteristic or another order is another entry
+    gradedrings._groebner_basis([f, g], 2, 0, 5)
+    gradedrings._groebner_basis([f, g], 2, 1, 3)
+    assert memo.cache_info().currsize == 3 and len(runs) == 3
+
+
+def test_equal_presentations_run_buchberger_once(fresh_reduced_basis):
+    _, runs = fresh_reduced_basis
+
+    def build():
+        return GradedPresentation(3, [("x", 2), ("y", 2)], relations=["x*y"])
+
+    first, second = build(), build()
+    assert first is not second
+    ideals = [HomogeneousIdeal(pres, ["x^2 + y^2"]) for pres in (first, second)]
+    assert ideals[0].groebner() == ideals[1].groebner()
+    assert len(runs) == 1

@@ -1,11 +1,16 @@
+import functools
+import importlib
 import itertools
+import pkgutil
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from references import plain_buchberger
 
-from permspec import modp
+import permspec
+from permspec import gradedrings, modp
 from permspec.gradedrings import (
     GradedPresentation,
     GradedRingHom,
@@ -29,6 +34,8 @@ from permspec.gradedrings import (
     s_polynomial,
     saturate,
 )
+from permspec.groups import elementary_abelian
+from permspec.spectra import fold, skeleton
 
 
 def _poly_ring(p, names, degs=None):
@@ -115,8 +122,8 @@ def certify_groebner(gb, gens, order, p):
     for g in basis:
         assert _in_ideal(g, gens, p)
     # Buchberger's criterion
-    for f, g in itertools.combinations(basis, 2):
-        assert not normal_form(s_polynomial(f, g, order, p), basis, order, p)
+    for (f, lf), (g, lg) in itertools.combinations(zip(basis, leads), 2):
+        assert not normal_form(s_polynomial(f, g, lf, lg, p), basis, order, p)
     # reduced and monic, sorted by leading monomial
     assert all(lc == 1 for _, lc in leads)
     for i, g in enumerate(basis):
@@ -129,7 +136,7 @@ def certify_groebner(gb, gens, order, p):
     assert keys == sorted(keys)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 10**6),
     st.sampled_from([2, 3, 5]),
@@ -137,15 +144,60 @@ def certify_groebner(gb, gens, order, p):
     st.integers(0, 3),
 )
 def test_buchberger_certified(seed, p, nvars, block):
+    """The Gebauer-Moeller pair update and degree-first selection give the
+    reduced basis that Buchberger with the product criterion alone gives."""
     rng = random.Random(seed)
     block = min(block, nvars - 1)
     pres = _poly_ring(p, ["x", "y", "z", "w"][:nvars])
     gens = [
-        _random_poly(pres, rng, nterms=rng.randrange(1, 5), total=rng.randrange(1, 4))
-        for _ in range(rng.randrange(1, 5))
+        _random_poly(pres, rng, nterms=rng.randrange(1, 5), total=rng.randrange(1, 5))
+        for _ in range(rng.randrange(1, 7))
     ]
     order = MonomialOrder(nvars, block)
-    certify_groebner(buchberger(gens, order, p), gens, order, p)
+    gb = buchberger(gens, order, p)
+    assert gb == plain_buchberger(gens, order, p)
+    certify_groebner(gb, gens, order, p)
+
+
+def test_buchberger_matches_plain_reference_on_skeleton_inputs(monkeypatch):
+    """Every Buchberger input of a cold C3^2 rational skeleton and of the
+    C2^3 strata fold (the strata skeleton itself runs none) gives the
+    reference basis."""
+    seen = []
+
+    def recording(gens, order, p):
+        seen.append((gens, order, p))
+        return buchberger(gens, order, p)
+
+    monkeypatch.setattr(gradedrings, "buchberger", recording)
+    for info in pkgutil.iter_modules(permspec.__path__):  # cold memos
+        mod = importlib.import_module(f"permspec.{info.name}")
+        for name, val in list(vars(mod).items()):
+            if callable(getattr(val, "cache_clear", None)):
+                monkeypatch.setattr(mod, name, functools.cache(val.__wrapped__))
+    skeleton(elementary_abelian(3, 2), 3)
+    fold(skeleton(elementary_abelian(2, 3), 2, level="strata"),
+         [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert len(seen) > 20
+    assert any(order.block for _, order, _ in seen)
+    for gens, order, p in seen:
+        assert buchberger(gens, order, p) == plain_buchberger(gens, order, p)
+
+
+@pytest.mark.parametrize("text", ["x^", "x^y", "x^-1", "x**2", "x +", "x*", "-"])
+def test_parse_poly_rejects_malformed_input(text):
+    pres = _poly_ring(3, ["x", "y"])
+    with pytest.raises(RingError):
+        parse_poly(text, pres)
+
+
+def test_parse_poly_reads_every_factor_form():
+    pres = _poly_ring(3, ["x", "y"])
+    assert parse_poly("", pres) == {}
+    assert parse_poly("- 2*x^2*y + x*y^10 - 4", pres) == {
+        (2, 1): 1, (1, 10): 1, (0, 0): 2,
+    }
+    assert parse_poly("2 x y^0", pres) == {(1, 0): 2}
 
 
 def test_monomial_order_grevlex():
@@ -173,9 +225,9 @@ def test_groebner_reduces_s_polynomials():
         gens = [_random_poly(pres, rng) for _ in range(2)]
         gb = buchberger(gens, pres.order, p)
         for f, g in itertools.combinations([dict(t) for t in gb], 2):
-            from permspec.gradedrings import s_polynomial
-
-            s = s_polynomial(f, g, pres.order, p)
+            s = s_polynomial(
+                f, g, leading(f, pres.order), leading(g, pres.order), p
+            )
             assert not normal_form(s, [dict(t) for t in gb], pres.order, p)
 
 
