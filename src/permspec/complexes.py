@@ -443,14 +443,10 @@ def build_u(G, p, pi):
     pi = np.asarray(pi, dtype=np.int64) % p
     if pi[0] != 0 or not pi.any():
         raise ComplexError("pi must be a nonzero homomorphism to Z/p")
-    for g in range(G.order):
-        for h in range(G.order):
-            if pi[G.mul(g, h)] != (pi[g] + pi[h]) % p:
-                raise ComplexError("pi is not a homomorphism")
-    coset_act = np.zeros((G.order, p), dtype=np.int64)
-    for g in range(G.order):
-        coset_act[g] = (pi[g] + np.arange(p)) % p
-    X = GSet(G, coset_act)
+    on_G = pi[:G.order, None]
+    if not np.array_equal(pi[G.table], (on_G + on_G.T) % p):
+        raise ComplexError("pi is not a homomorphism")
+    X = GSet(G, (on_G + np.arange(p)) % p)
     aug = np.ones((1, p), dtype=np.int64)
     if p == 2:
         return PermComplex(G, p, {1: X, 0: trivial_gset(G)}, {1: aug})
@@ -593,7 +589,8 @@ def hom_dim(G, p, coords, s):
     orbit of T_{n-1} and one column per orbit of T_n (the sum of d's columns
     over it).  The orbit count and the rank in every degree are computed
     once per group, p and multiset of twists, which the tensor product
-    depends on only up to isomorphism.
+    depends on only up to isomorphism, and serve every shift s; twists
+    sharing a sorted prefix share its tensor product.
     """
     pis = tuple(sorted(tuple(int(v) % p for v in pi) for pi in coords))
     orbits, ranks = _invariant_profile(G, p, pis)
@@ -603,10 +600,14 @@ def hom_dim(G, p, coords, s):
 
 @functools.cache
 def _invariant_profile(G, p, pis):
-    """({n: orbit count of T_n}, {n: rank of d_n on T^G}) for T = (x) u_pi."""
+    """({n: orbit count of T_n}, {n: rank of d_n on T^G}) for T = (x) u_pi.
+
+    T is the memoised product over the proper prefix pis[:-1] times one
+    more u.  T itself is not kept: a product stays in memory only while it
+    is a prefix of a longer twist, never for the longest ones."""
     T = unit_complex(G, p)
-    for pi in pis:
-        T = T.tensor(build_u(G, p, pi))
+    if pis:
+        T = _tensor_prefix(G, p, pis[:-1]).tensor(_u_pi(G, p, pis[-1]))
     orbits = {n: len(np.unique(gs.orbit_label())) for n, gs in T.gsets.items()}
     ranks = {}
     for n, d in T.diffs.items():
@@ -615,6 +616,19 @@ def _invariant_profile(G, p, pis):
         sums = np.add.reduceat(d[reps][:, order], starts, axis=1) % p
         ranks[n] = modp.rank(sums, p)
     return orbits, ranks
+
+
+@functools.cache
+def _tensor_prefix(G, p, pis):
+    """unit (x) u_pi for pi in the sorted tuple pis, built on its own prefix."""
+    if not pis:
+        return unit_complex(G, p)
+    return _tensor_prefix(G, p, pis[:-1]).tensor(_u_pi(G, p, pis[-1]))
+
+
+@functools.cache
+def _u_pi(G, p, pi):
+    return build_u(G, p, pi)
 
 
 # -- functors: fixed points, restriction, inflation ----------------------------------

@@ -15,11 +15,12 @@ ring honestly commutative.  For p = 2 signs are invisible, so odd degrees
 are allowed there.
 """
 
+import collections
 import functools
 import heapq
 import itertools
 import re
-from operator import add, le, neg, sub
+from operator import add, le, mul, neg, sub
 
 
 class RingError(ValueError):
@@ -378,6 +379,10 @@ class GradedPresentation:
         return format_poly(f, self)
 
     def digest(self):
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self):
         return (
             self.p,
             self.varnames,
@@ -437,6 +442,10 @@ class HomogeneousIdeal:
                     )
 
     def groebner(self):
+        return self._groebner
+
+    @functools.cached_property
+    def _groebner(self):
         return self.ambient.groebner_of(self.generators)
 
     def member(self, f):
@@ -674,21 +683,30 @@ def count_standard_monomials(pres, shift, twist):
     Counts monomials of the given multidegree avoiding all leading terms of
     the relation Groebner basis.  Every variable must carry a twist of the
     same length with nonnegative entries, not all zero, which bounds the
-    exponents of each twist.
+    exponents of each twist.  The monomials of a twist are counted once for
+    all shifts, memoised on the presentation's digest.
     """
-    gb = pres.groebner_of([])
-    lead = [leading(dict(g), pres.order)[0] for g in gb]
-    twists = []
+    pres.check_regime()
     for name in pres.varnames:
         t = pres.twists.get(name)
         if not t or not any(t) or min(t) < 0 or len(t) != len(twist):
             raise RingError("twist counting needs twist-positive variables")
-        twists.append(t)
-    return sum(
-        1
-        for expo in _exponents_of_twist(twists, tuple(twist))
-        if pres.shift_degree(expo) == shift
-        and not any(_divides(lm, expo) for lm in lead)
+    return _shift_histogram(pres.digest(), tuple(twist))[shift]
+
+
+@functools.cache
+def _shift_histogram(digest, twist):
+    """Counter {shift: standard monomials of that shift} over one twist of
+    the presentation with this digest."""
+    p, names, degrees, twists, relations = digest
+    gb = _groebner_basis([dict(r) for r in relations], len(names), 0, p)
+    order = MonomialOrder(len(names))
+    lead = [leading(dict(g), order)[0] for g in gb]
+    twists = dict(twists)
+    return collections.Counter(
+        sum(map(mul, expo, degrees))
+        for expo in _exponents_of_twist([twists[n] for n in names], twist)
+        if not any(_divides(lm, expo) for lm in lead)
     )
 
 

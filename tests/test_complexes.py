@@ -29,6 +29,7 @@ from permspec.complexes import (
     verify_homotopy,
 )
 from permspec.twisted import EAStructure, coordinates, dependent_triples
+from permspec.verify import verify_hilbert
 
 
 def _pi(ea, coord):
@@ -57,6 +58,31 @@ def test_build_u_rejects_bad_pi():
         build_u(E, 2, [0, 1, 1, 0])  # not a homomorphism
     with pytest.raises(ComplexError):
         build_u(E, 2, [0, 0, 0, 0])  # zero map
+
+
+def _reference_is_hom(G, p, pi):
+    """The pairwise loop: pi(gh) = pi(g) + pi(h) mod p for all g, h."""
+    return all(
+        pi[G.mul(g, h)] % p == (pi[g] + pi[h]) % p
+        for g in range(G.order) for h in range(G.order)
+    )
+
+
+@pytest.mark.parametrize("G, p", [(cyclic(4), 2), (elementary_abelian(2, 2), 2),
+                                  (cyclic(6), 3), (cyclic(6), 2)])
+def test_build_u_accepts_exactly_the_nonzero_homomorphisms(G, p):
+    # every map G -> Z/p: the table comparison accepts what the pairwise
+    # loop accepts, and the coset action is pi(g) + x
+    for pi in itertools.product(range(p), repeat=G.order):
+        if pi[0] == 0 and any(pi) and _reference_is_hom(G, p, pi):
+            u = build_u(G, p, pi)
+            top = u.gsets[two_prime(p)].action
+            assert np.array_equal(top, (np.add.outer(pi, range(p))) % p)
+        else:
+            with pytest.raises(ComplexError):
+                build_u(G, p, pi)
+    with pytest.raises(IndexError):  # too short to be a function on G
+        build_u(G, p, [0] + [1] * (G.order - 2))
 
 
 def test_units_invertible():
@@ -497,6 +523,37 @@ def test_hom_dim_memo_clear(monkeypatch):
     assert memo.cache_info().currsize == 0
     assert hom_dim(E, p, [pi, pi], -1) == 1
     assert len(built) == 2
+
+
+def test_invariant_profiles_share_tensor_prefixes(monkeypatch):
+    """Over the Klein box of verify_hilbert (twists of total <= 4), each
+    sorted proper prefix of a twist is tensored once, on its own prefix, and
+    each u once; a whole twist's product is kept only when it is itself a
+    proper prefix of another twist, so the 4-fold products are never kept."""
+    asked, built, tensors = [], [], []
+    profile = complexes._invariant_profile.__wrapped__
+    _fresh_profile_memo(
+        monkeypatch, lambda G, p, pis: asked.append((G.order, pis)) or profile(G, p, pis))
+    prefix = complexes._tensor_prefix.__wrapped__
+    monkeypatch.setattr(complexes, "_tensor_prefix", functools.cache(
+        lambda G, p, pis: built.append((G.order, pis)) or prefix(G, p, pis)))
+    units = functools.cache(complexes._u_pi.__wrapped__)
+    monkeypatch.setattr(complexes, "_u_pi", units)
+    tensor = PermComplex.tensor
+    monkeypatch.setattr(PermComplex, "tensor",
+                        lambda C, D: tensors.append(D) or tensor(C, D))
+    ok, _ = verify_hilbert(max_shift_cp=0, max_q_cp=0, max_twist_klein=4,
+                           max_shift_klein=5)
+    assert ok
+    assert max(len(pis) for _, pis in asked) == 4
+    proper = {(n, pis[:k]) for n, pis in asked for k in range(len(pis))}
+    assert sorted(built) == sorted(proper)  # each one built once
+    assert set(built).isdisjoint(set(asked) - proper)
+    assert units.cache_info().currsize == units.cache_info().misses == 3
+    # one tensor product per nonempty prefix and one per nonempty twist, where
+    # building every twist from the unit took one per factor
+    nonempty = [pis for _, pis in built + asked if pis]
+    assert len(tensors) == len(nonempty) < sum(len(pis) for _, pis in asked)
 
 
 def test_is_null_homotopic_rejects_non_equivariant_component():

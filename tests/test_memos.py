@@ -13,9 +13,12 @@ import pytest
 import permspec
 from permspec import gradedrings
 from permspec.complexes import hom_dim
-from permspec.gradedrings import GradedPresentation, HomogeneousIdeal, buchberger
+from permspec.gradedrings import (
+    GradedPresentation, HomogeneousIdeal, buchberger, count_standard_monomials,
+)
 from permspec.groups import elementary_abelian
 from permspec.spectra import skeleton
+from permspec.twisted import present_Rtotal
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "permspec"
 
@@ -74,7 +77,8 @@ def test_cache_clear_empties_every_memo(monkeypatch):
         "permspec.twisted._local_ring", "permspec.twisted._presentation",
         "permspec.twisted._closure_ideal", "permspec.twisted._contracted_closure",
         "permspec.spectra._stratum_data", "permspec.complexes._invariant_profile",
-        "permspec.gradedrings._reduced_basis",
+        "permspec.complexes._tensor_prefix", "permspec.complexes._u_pi",
+        "permspec.gradedrings._reduced_basis", "permspec.gradedrings._shift_histogram",
     }
     # fresh memos for this test only: the warm ones come back afterwards
     fresh = []
@@ -87,6 +91,7 @@ def test_cache_clear_empties_every_memo(monkeypatch):
     E = elementary_abelian(2, 2)
     skeleton(E, 2)
     assert hom_dim(E, 2, [(0, 1, 0, 1)], -1) == 1
+    assert count_standard_monomials(present_Rtotal(E, 2), 0, (1, 0, 0)) == 1
     for name, memo in fresh:
         assert memo.cache_info().currsize > 0, name
         memo.cache_clear()
@@ -135,3 +140,39 @@ def test_equal_presentations_run_buchberger_once(fresh_reduced_basis):
     ideals = [HomogeneousIdeal(pres, ["x^2 + y^2"]) for pres in (first, second)]
     assert ideals[0].groebner() == ideals[1].groebner()
     assert len(runs) == 1
+
+
+def test_ideal_computes_its_groebner_basis_once(monkeypatch):
+    calls = []
+    basis = gradedrings._groebner_basis
+    monkeypatch.setattr(gradedrings, "_groebner_basis",
+                        lambda *args: calls.append(args) or basis(*args))
+    pres = GradedPresentation(3, [("x", 2), ("y", 2)], relations=["x*y"])
+    ideal = HomogeneousIdeal(pres, ["x^2 + y^2"])
+    assert ideal.groebner() == ideal.groebner()
+    assert len(calls) == 1
+    # membership, normal forms, hashing and equality read the same basis
+    assert ideal.member("x^3") and not ideal.member("x")
+    assert ideal.normal_form("x^2") == ideal.normal_form("2*y^2")
+    assert ideal == ideal and hash(ideal) == hash(ideal)
+    assert len(calls) == 1
+
+
+def test_equal_presentations_share_one_histogram_entry(monkeypatch):
+    memo = functools.cache(gradedrings._shift_histogram.__wrapped__)
+    monkeypatch.setattr(gradedrings, "_shift_histogram", memo)
+
+    def build():
+        return GradedPresentation(
+            2, [("x", 1, (1,)), ("u", 0, (1,))], relations=["x^2"], twist_len=1)
+
+    first, second = build(), build()
+    assert first is not second
+    # twist 2: u^2 at shift 0 and x*u at shift 1; x^2 is a relation
+    for pres in (first, second):
+        assert [count_standard_monomials(pres, s, (2,)) for s in range(-1, 4)] == \
+            [0, 1, 1, 0, 0]
+    info = memo.cache_info()
+    assert info.currsize == info.misses == 1
+    count_standard_monomials(second, 0, (3,))
+    assert memo.cache_info().currsize == 2

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from permspec import modp
@@ -113,9 +114,10 @@ def _reference_nullspace(A, p):
 
 @st.composite
 def shaped_matrices(draw):
-    """Matrices over F2, F3 and F5: empty, tall and wide, with low rank often
-    (rows repeated as sums of earlier rows)."""
-    p = draw(st.sampled_from([2, 3, 5]))
+    """Matrices over F2, F3, F5 and the primes on either side of the int16
+    elimination threshold (181^2 < 2^15 < 191^2): empty, tall and wide, with
+    low rank often (rows repeated as sums of earlier rows)."""
+    p = draw(st.sampled_from([2, 3, 5, 181, 191]))
     nrows = draw(st.integers(0, 9))
     ncols = draw(st.integers(0, 9))
     A = np.array(
@@ -135,7 +137,7 @@ def test_rref_matches_row_loop_reference(pa):
     p, A = pa
     R, pivots, r = modp.rref(A, p)
     R0, pivots0, r0 = _reference_rref(A, p)
-    assert np.array_equal(R, R0)
+    assert R.dtype == np.int64 and np.array_equal(R, R0)
     assert pivots == pivots0 and r == r0
     assert np.array_equal(modp.nullspace(A, p), _reference_nullspace(A, p))
 
@@ -149,4 +151,19 @@ def test_rref_matches_reference_on_fixed_shapes():
                  (5, np.arange(24).reshape(3, 8))]:
         R, pivots, r = modp.rref(A, p)
         R0, pivots0, r0 = _reference_rref(A, p)
+        assert R.dtype == np.int64
         assert np.array_equal(R, R0) and pivots == pivots0 and r == r0
+
+
+@pytest.mark.parametrize("p", [179, 181, 191, 193])
+def test_rref_extreme_entries_near_int16_threshold(p):
+    # entries p - 1 and p - 2 make every elimination product (p - 1)^2 or
+    # close to it: 181 is the largest prime eliminated in int16, 191 the
+    # smallest eliminated in int64
+    rng = np.random.default_rng(p)
+    A = rng.choice([p - 1, p - 2], size=(12, 15))
+    A[6:] = (A[:6] * (p - 1) + A[6:]) % p
+    R, pivots, r = modp.rref(A, p)
+    R0, pivots0, r0 = _reference_rref(A, p)
+    assert R.dtype == np.int64
+    assert np.array_equal(R, R0) and pivots == pivots0 and r == r0

@@ -353,10 +353,11 @@ def test_count_standard_monomials_matches_box_filter(seed, p):
         relations.append(f)
     pres = GradedPresentation(p, variables, relations=relations, twist_len=ntw)
     for _ in range(6):
-        # the bidegree of a random monomial, and the twist at another shift
+        # the bidegree of a random monomial, and the twist at every shift in
+        # -8..8, which at p = 3 (even degrees) includes shifts with none
         expo = tuple(rng.randint(0, 3) for _ in range(nvars))
         twist = pres.twist_degree(expo)
-        for shift in (pres.shift_degree(expo), rng.randint(-6, 6)):
+        for shift in {pres.shift_degree(expo), *range(-8, 9)}:
             assert count_standard_monomials(pres, shift, twist) == \
                 _reference_count_standard_monomials(pres, shift, twist)
 
