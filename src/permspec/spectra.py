@@ -17,11 +17,15 @@ generated by the coordinates that vanish on A.  A skeleton names:
     principal ideal of an irreducible binary quadric; it lies in no proper
     V_A, so its interval is [S, E].
 
-Point j lies in the closure of point i exactly when [S_j, P_j] lies inside
-[S_i, P_i]; only family tokens are ordered by closure_ideal containment
-tests.  For a general finite group G the skeleton is glued from the
-skeletons of the maximal elementary abelian p-sections, identifying the
-images of every maximal span of the section category (union-find on points).
+The interval, with a flag for family tokens, is the identity of a named
+point (SpectrumPoint.key).  Point j lies in the closure of point i exactly
+when [S_j, P_j] lies inside [S_i, P_i]; only family tokens are ordered by
+closure_ideal containment tests.  For a general finite group G the skeleton
+is glued from the skeletons of the maximal elementary abelian p-sections,
+identifying the images of every maximal span of the section category
+(union-find on points).  Restriction along an injection iota of stratum
+quotients sends the generic point of V_A to that of V_iota(A), so transport
+along a section morphism, like fold, moves intervals and builds no ring.
 """
 
 import functools
@@ -39,7 +43,7 @@ from .groups import (
     subgroup_as_group,
     subgroups,
 )
-from .gradedrings import HomogeneousIdeal, contract
+from .gradedrings import HomogeneousIdeal
 from .twisted import (
     closure_ideal,
     induced_hom,
@@ -78,20 +82,20 @@ def _sub_label(S):
 
 
 class SpectrumPoint:
-    """A named point of a skeleton: a stratum plus a homogeneous ideal."""
+    """A point of a skeleton: the interval [stratum, top], its kind and, on a
+    named point, its homogeneous ideal."""
 
     def __init__(self, stratum, ideal, kind, label, top=None):
         self.stratum = stratum  # Subgroup of the ambient platform group
-        self.ideal = ideal  # HomogeneousIdeal in the stratum's cohomology ring
+        self.ideal = ideal  # HomogeneousIdeal in the stratum's ring, or None
         self.kind = kind
         self.label = label
-        self.top = top  # elements of the interval top P, set by _named_points
+        self.top = top  # sorted elements of the interval top P
 
-    def same_point(self, other):
-        return (
-            self.stratum.elements == other.stratum.elements
-            and self.ideal == other.ideal
-        )
+    def key(self):
+        """(stratum, top, is a family token): a token and eta(S) share the
+        interval [S, E]."""
+        return self.stratum.elements, self.top, self.kind == KIND_FAMILY
 
     def __repr__(self):
         return f"SpectrumPoint({self.kind}, {self.label})"
@@ -248,22 +252,12 @@ def _subspace_ideal(spec, A):
     ])
 
 
-def _subspace_of(spec, ideal):
-    """The common kernel, as a sorted tuple, of the coordinates whose zp
-    variable lies in the ideal: the A with _subspace_ideal(spec, A) == ideal
-    when there is one."""
-    ea = spec.ea
-    fs = [spec.coordinate[lbl].f for lbl, v in spec.plus_of.items()
-          if ideal.member(spec.presentation.var(v))]
-    return tuple(x for x in range(ea.group.order)
-                 if not any(ea.functional_on(f, x) for f in fs))
-
-
-def _kind_of(spec, A):
-    """Kind of the generic point of V_A read off |A|: very closed at A = 1
-    (also when W = 1), stratum generic at A = W, rational at a line."""
-    kinds = {spec.ea.group.order: KIND_STRATUM_GENERIC, 1: KIND_VERY_CLOSED}
-    return kinds.get(len(A), KIND_RATIONAL if len(A) == spec.p else KIND_CUSTOM)
+def _kind_of(a, w, p):
+    """Kind of the generic point of V_A, A of order a in a stratum quotient W
+    of order w: very closed at A = 1 (also when W = 1), stratum generic at
+    A = W, rational at a line."""
+    kinds = {w: KIND_STRATUM_GENERIC, 1: KIND_VERY_CLOSED}
+    return kinds.get(a, KIND_RATIONAL if a == p else KIND_CUSTOM)
 
 
 def _token_ideal(spec):
@@ -287,30 +281,19 @@ def _token_ideal(spec):
     return HomogeneousIdeal(pres, [poly])
 
 
-def _move_ideal(ideal, spec_from, spec_to, iota):
-    """Carry an ideal of spec_from into spec_to along an injective group map
-    iota: A -> B of stratum quotients, iota[a] the image of a.
-
-    An isomorphism moves the ideal through the ring map of its inverse; a
-    proper injection contracts it along the restriction spec_to -> spec_from.
-    """
-    assert len(set(iota)) == len(iota), "stratum comparison is not injective"
-    if len(iota) == spec_to.ea.group.order:
-        inv = sorted(range(len(iota)), key=iota.__getitem__)  # inv[iota[a]] = a
-        return induced_hom(spec_from, spec_to, inv).apply_ideal(ideal)
-    return contract(induced_hom(spec_to, spec_from, iota), ideal)
-
-
 def _stratum_shift(E, S_P, S_Q, p, ideal):
     """closure_ideal from the S_P-stratum into the S_Q-stratum (S_P <= S_Q),
     expressed in the canonical S_Q-stratum ring."""
     Qp, projp, _ = stratum_data(E, S_P, p)
     Hbar = Qp.subgroup(sorted({int(projp.map[x]) for x in S_Q.elements}))
-    # the closure lives in the ring of (E/S_P)/(S_Q/S_P); move it to E/S_Q
+    # the closure lives in the ring of (E/S_P)/(S_Q/S_P); the isomorphism
+    # iota onto E/S_Q moves it through the ring map of the inverse
     Q2, proj2, spec2 = stratum_data(Qp, Hbar, p)
     _, projq, specq = stratum_data(E, S_Q, p)
     iota = [int(projq.map[projp.reps[proj2.reps[r]]]) for r in range(Q2.order)]
-    return _move_ideal(closure_ideal(Qp, Hbar, ideal, p), spec2, specq, iota)
+    inv = sorted(range(Q2.order), key=iota.__getitem__)  # inv[iota[r]] = r
+    closure = closure_ideal(Qp, Hbar, ideal, p)
+    return induced_hom(spec2, specq, inv).apply_ideal(closure)
 
 
 # -- skeleton construction ------------------------------------------------------------
@@ -351,7 +334,9 @@ def _named_points(E, p, level, cap_rank):
         raise GroupError("skeleton needs an elementary abelian group")
     _check_rank_cap(E, p, cap_rank)
     points = []
-    for S in sorted(subgroups(E), key=lambda s: (s.order, s.elements)):
+    # the group was built under the caller's order cap and _check_rank_cap
+    # bounds its lattice, so no second cap applies here
+    for S in sorted(subgroups(E, cap=E.order), key=lambda s: (s.order, s.elements)):
         Q, proj, spec = stratum_data(E, S, p)
         slbl = _sub_label(S)
         rational = spec.ea.rank >= 2 and level == "rational"
@@ -362,7 +347,8 @@ def _named_points(E, p, level, cap_rank):
             named += [(f"pt[{vec_lbl}]", line) for vec_lbl, line in _lines(spec)]
         for name, A in named:
             points.append(SpectrumPoint(
-                S, _subspace_ideal(spec, A), _kind_of(spec, A), f"{name}({slbl})",
+                S, _subspace_ideal(spec, A), _kind_of(len(A), Q.order, p),
+                f"{name}({slbl})",
                 tuple(x for x in range(E.order) if int(proj.map[x]) in A),
             ))
         if rational:
@@ -426,8 +412,8 @@ def _specialization_order(E, p, points):
 class SectionPlatform:
     """A section (H, K) realized as an elementary abelian quotient group Q.
 
-    q_of sends each element of H to Q, lift each element of Q to the least
-    element of H over it; points and their order (.skel) are built on use.
+    q_of sends each element of H to Q; points and their order (.skel) are
+    built on use.
     """
 
     def __init__(self, sec, p, level="rational", cap_rank=DEFAULT_RANK_CAP):
@@ -441,7 +427,6 @@ class SectionPlatform:
         Kin = Hgrp.subgroup(sorted(index[int(k)] for k in sec.K.elements))
         self.Q, proj = quotient(Hgrp, Kin)
         self.q_of = {x: int(proj.map[i]) for i, x in enumerate(embed)}
-        self.lift = [embed[r] for r in proj.reps]
 
     @functools.cached_property
     def points(self):
@@ -452,39 +437,34 @@ class SectionPlatform:
         return _skeleton_on(self.Q, self.p, self.level, self.points)
 
 
-def _classify(spec, ideal):
-    A = _subspace_of(spec, ideal)
-    if _subspace_ideal(spec, A) != ideal:
-        return KIND_CUSTOM
-    return _kind_of(spec, A)
-
-
 def transport_point(m, src_plat, tgt_plat, point):
     """Image of a skeleton point under the spectrum map of a section morphism.
 
-    The morphism witness g conjugates the source section into the target one;
-    the stratum maps to the image of its preimage, and the ideal moves along
-    the injection of stratum quotients (_move_ideal).
+    The morphism witness g conjugates the source section into the target one
+    and sends a subgroup X of the source platform to T(X), the image of its
+    preimage.  The interval [S, P] goes to [T(S), T(P)], the generic point of
+    V_iota(A) for the injection iota of stratum quotients.  A family token
+    goes to the token of T(S) when the two stratum quotients have the same
+    order; otherwise its image lies in a proper V_iota(W) and is Custom.  The
+    image carries no ideal.
     """
-    G = m.source.group
-    g = m.g
-    Sbar = set(point.stratum.elements)
-    Tbar = tgt_plat.Q.subgroup(sorted({
-        tgt_plat.q_of[G.conj(x, g)] for x, q in src_plat.q_of.items() if q in Sbar
-    }))
-    Q1, proj1, spec1 = stratum_data(src_plat.Q, point.stratum, src_plat.p)
-    Q2, proj2, spec2 = stratum_data(tgt_plat.Q, Tbar, tgt_plat.p)
-    iota = [
-        int(proj2.map[tgt_plat.q_of[G.conj(src_plat.lift[y], g)]])
-        for y in proj1.reps
+    G, g, P = m.source.group, m.g, set(point.top)
+    image = [
+        (q, tgt_plat.q_of[G.conj(x, g)]) for x, q in src_plat.q_of.items() if q in P
     ]
-    ideal_t = _move_ideal(point.ideal, spec1, spec2, iota)
-    kind = _classify(spec2, ideal_t)
-    if point.kind == KIND_FAMILY and Q1.order == Q2.order and kind == KIND_CUSTOM:
-        # an isomorphic transport carries the non-rational family to the
-        # non-rational family of the image stratum
-        kind = KIND_FAMILY
-    return SpectrumPoint(Tbar, ideal_t, kind, f"{point.label}^[{g}]")
+
+    def T(X):
+        X = set(X)
+        return tuple(sorted({t for q, t in image if q in X}))
+
+    Tbar, top = tgt_plat.Q.subgroup(T(point.stratum.elements)), T(point.top)
+    a, w = len(top) // Tbar.order, tgt_plat.Q.order // Tbar.order
+    assert a == len(point.top) // point.stratum.order, "iota is not injective"
+    if point.kind == KIND_FAMILY:
+        kind = KIND_FAMILY if a == w else KIND_CUSTOM
+    else:
+        kind = _kind_of(a, w, tgt_plat.p)
+    return SpectrumPoint(Tbar, None, kind, f"{point.label}^[{g}]", top)
 
 
 def skeleton_map(m, p, level="rational", cap_rank=DEFAULT_RANK_CAP):
@@ -502,17 +482,11 @@ def skeleton_map(m, p, level="rational", cap_rank=DEFAULT_RANK_CAP):
 
 
 def _locate(points, pt, required=True):
-    """Index of the named point equal to pt (family tokens match as families)."""
+    """Index of the named point with pt's key."""
+    key = pt.key()
     for j, q in enumerate(points):
-        if q.same_point(pt):
+        if q.key() == key:
             return j
-    if pt.kind == KIND_FAMILY:
-        for j, q in enumerate(points):
-            if (
-                q.kind == KIND_FAMILY
-                and q.stratum.elements == pt.stratum.elements
-            ):
-                return j
     if not required:
         return None
     raise GlueError(f"transported point {pt.label} is not a named point")
@@ -656,9 +630,9 @@ def p_rank(G, p, cap_order=DEFAULT_ORDER_CAP):
 def fold(skel, matrix):
     """Quotient a skeleton of an elementary abelian group by an automorphism.
 
-    The automorphism is a square matrix over F_p acting on the chosen basis;
-    points are identified with their images (strata relabel, ideals transform
-    by the induced linear substitution)."""
+    The automorphism theta is a square matrix over F_p acting on the chosen
+    basis; points are identified with their images: [S, P] goes to
+    [theta S, theta P] and token(S) to token(theta S)."""
     E, p = skel.ambient, skel.p
     assert E is not None, "fold needs a skeleton built by skeleton()"
     ea = local_ring(E, E.trivial_subgroup(), p).ea
@@ -673,13 +647,8 @@ def fold(skel, matrix):
     uf = _UnionFind(len(skel.points))
     for i, pt in enumerate(skel.points):
         S2 = E.subgroup(sorted(theta[x] for x in pt.stratum.elements))
-        _, proj1, spec1 = stratum_data(E, pt.stratum, p)
-        _, proj2, spec2 = stratum_data(E, S2, p)
-        # the group iso E/S -> E/S2 induced by theta
-        iota = [int(proj2.map[theta[x]]) for x in proj1.reps]
-        moved = SpectrumPoint(
-            S2, _move_ideal(pt.ideal, spec1, spec2, iota), pt.kind, pt.label + "'"
-        )
+        top = tuple(sorted(theta[x] for x in pt.top))
+        moved = SpectrumPoint(S2, None, pt.kind, pt.label + "'", top)
         uf.union(i, _locate(skel.points, moved))
     classes, order = uf.collapse(skel.order)
     points, provenance = [], {}

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from permspec import modp
+from permspec import modp, spectra
 from permspec.gradedrings import (
     _divides,
     _lcm,
@@ -15,6 +15,7 @@ from permspec.gradedrings import (
     _mono_div,
     _mono_mul,
     canonical,
+    contract,
     leading,
     normal_form,
     padd,
@@ -25,6 +26,7 @@ from permspec.gradedrings import (
 from permspec.groups import FiniteGroup
 from permspec.spectra import (
     KIND_CUSTOM,
+    KIND_FAMILY,
     KIND_RATIONAL,
     KIND_STRATUM_GENERIC,
     KIND_VERY_CLOSED,
@@ -32,7 +34,7 @@ from permspec.spectra import (
     _subspace_ideal,
     stratum_data,
 )
-from permspec.twisted import canonical_functional
+from permspec.twisted import canonical_functional, induced_hom, local_ring
 
 
 def functional_of_kernel(ea, N):
@@ -58,6 +60,103 @@ def classify_by_line_search(spec, ideal):
         if _subspace_ideal(spec, line) == ideal:
             return KIND_RATIONAL
     return KIND_CUSTOM
+
+
+def move_ideal(ideal, spec_from, spec_to, iota, hom=induced_hom):
+    """Carry an ideal of spec_from into spec_to along an injective group map
+    iota of stratum quotients, iota[a] the image of a, with the ring maps
+    that hom(src, tgt, iota) builds.
+
+    An isomorphism moves the ideal through the ring map of its inverse; a
+    proper injection contracts it along the restriction spec_to -> spec_from.
+    """
+    assert len(set(iota)) == len(iota), "stratum comparison is not injective"
+    if len(iota) == spec_to.ea.group.order:
+        inv = sorted(range(len(iota)), key=iota.__getitem__)  # inv[iota[a]] = a
+        return hom(spec_from, spec_to, inv).apply_ideal(ideal)
+    return contract(hom(spec_to, spec_from, iota), ideal)
+
+
+def transport_by_rings(m, src_plat, tgt_plat, point, hom=induced_hom):
+    """(ring of the image stratum, image ideal) of a named point under the
+    spectrum map of a section morphism, its ideal moved along the injection
+    of stratum quotients that the witness g induces."""
+    G, g = m.source.group, m.g
+    Sbar = set(point.stratum.elements)
+    Tbar = tgt_plat.Q.subgroup(sorted({
+        tgt_plat.q_of[G.conj(x, g)] for x, q in src_plat.q_of.items() if q in Sbar
+    }))
+    _, proj1, spec1 = stratum_data(src_plat.Q, point.stratum, src_plat.p)
+    _, proj2, spec2 = stratum_data(tgt_plat.Q, Tbar, tgt_plat.p)
+    lift = {}  # the least element of H over each element of the platform
+    for x, q in sorted(src_plat.q_of.items()):
+        lift.setdefault(q, x)
+    iota = [int(proj2.map[tgt_plat.q_of[G.conj(lift[y], g)]]) for y in proj1.reps]
+    return spec2, move_ideal(point.ideal, spec1, spec2, iota, hom)
+
+
+def check_transport_by_rings(m, src_plat, tgt_plat, point, image, hom=induced_hom):
+    """Check a transported point against transport_by_rings: the image of a
+    point that is no family token has the ideal of its interval and the kind
+    the line search finds for the moved ideal; a token's moved ideal is no
+    subspace ideal, and its image is a token exactly when the two stratum
+    quotients have the same order."""
+    spec, ideal = transport_by_rings(m, src_plat, tgt_plat, point, hom)
+    _, proj, spec_image = stratum_data(tgt_plat.Q, image.stratum, tgt_plat.p)
+    assert spec_image is spec
+    kind = classify_by_line_search(spec, ideal)
+    if point.kind == KIND_FAMILY:
+        assert kind == KIND_CUSTOM
+        same = spec.ea.group.order * point.stratum.order == src_plat.Q.order
+        assert image.kind == (KIND_FAMILY if same else KIND_CUSTOM)
+    else:
+        assert ideal == _subspace_ideal(spec, {int(proj.map[x]) for x in image.top})
+        assert kind == image.kind
+
+
+def checked_transports(monkeypatch, hom=induced_hom):
+    """Check every spectra.transport_point call with check_transport_by_rings
+    from here on; returns the list of image kinds, filled as they come."""
+    kinds = []
+    transport = spectra.transport_point
+
+    def checked(m, src_plat, tgt_plat, point):
+        image = transport(m, src_plat, tgt_plat, point)
+        check_transport_by_rings(m, src_plat, tgt_plat, point, image, hom)
+        kinds.append(image.kind)
+        return image
+
+    monkeypatch.setattr(spectra, "transport_point", checked)
+    return kinds
+
+
+def fold_by_rings(skel, matrix, hom=induced_hom):
+    """For each point of an elementary abelian skeleton, the index of the
+    point fold identifies it with: the named point on the image stratum with
+    the moved ideal, or for a family token the token of the image stratum."""
+    E, p, points = skel.ambient, skel.p, skel.points
+    ea = local_ring(E, E.trivial_subgroup(), p).ea
+    r = ea.rank
+    theta = [
+        ea.elem_of[tuple(sum(matrix[i][k] * ea.vec_of[x][k] for k in range(r)) % p
+                         for i in range(r))]
+        for x in range(E.order)
+    ]
+    out = []
+    for pt in points:
+        S2 = E.subgroup(sorted(theta[x] for x in pt.stratum.elements))
+        _, proj1, spec1 = stratum_data(E, pt.stratum, p)
+        _, proj2, spec2 = stratum_data(E, S2, p)
+        iota = [int(proj2.map[theta[x]]) for x in proj1.reps]
+        moved = move_ideal(pt.ideal, spec1, spec2, iota, hom)
+        same = [
+            j for j, q in enumerate(points)
+            if q.stratum.elements == S2.elements
+            and (q.ideal == moved or KIND_FAMILY == q.kind == pt.kind)
+        ]
+        assert len(same) == 1
+        out.append(same[0])
+    return out
 
 
 def rational_preimage_by_search(E, p, point):

@@ -194,6 +194,24 @@ def test_cap_order_reaches_the_subgroup_lattice(capsys):
     assert code == EXIT_RESOURCE and "exceeds cap 100" in err
 
 
+def test_cap_order_reaches_the_skeleton_lattice(capsys):
+    # C13 x C13 has order 169: the named points of every stratum come from
+    # the lattice of a group built under --cap-order
+    argv = ["--group", "ea:13:2", "--prime", "13", "--level", "strata"]
+    heads = {
+        "skeleton": "31 points, 43 covering edges\n",
+        "glue": "31 points, 43 covering edges\n",
+        "dim": "dimension 2\np-rank 2\n",
+        "components": "1 irreducible components\n",
+    }
+    for command, head in heads.items():
+        code, out, err = run(capsys, command, *argv, "--cap-order", "200")
+        assert code == EXIT_OK, err
+        assert out.startswith(head)
+        code, _, err = run(capsys, command, *argv)
+        assert code == EXIT_RESOURCE and "exceeds cap 128" in err
+
+
 def test_components_of_p_prime_group(capsys):
     code, out, _ = run(capsys, "components", "--group", "cyclic:3", "--prime", "2")
     assert code == EXIT_OK

@@ -1,9 +1,10 @@
 """Ring maps induced by group maps, checked against the per-case rules they
 replaced.
 
-`twisted` builds Psi^K, restriction, transport along section morphisms and
-the automorphisms of `fold` with one pull-back constructor, and the closure
-transport through the shared localization `_localized_presentation`.  The
+`twisted` builds Psi^K, restriction, the stratum moves of family-token
+closures and the ring path that point transport and `fold` are checked
+against (`references.move_ideal`) with one pull-back constructor, and the
+closure transport through the shared localization `_localized_presentation`.  The
 references below are the earlier, separately written versions of each; the
 new code must give exactly their images, targets and ideals.
 """
@@ -41,7 +42,12 @@ from permspec.twisted import (
     res_hom,
 )
 
-from references import functional_of_kernel, relabelled
+from references import (
+    checked_transports,
+    fold_by_rings,
+    functional_of_kernel,
+    relabelled,
+)
 
 GROUPS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 
@@ -235,8 +241,9 @@ def test_psi_kills_exactly_the_functionals_not_vanishing_on_K():
             assert (not im) == (not c.kernel.contains_subgroup(K))
 
 
-def _recording_induced_hom(monkeypatch):
-    seen = []
+def _checked_hom(seen):
+    """induced_hom, each result checked against _ref_induced_hom and the
+    length of its group map appended to seen."""
 
     def checked(src, tgt, iota):
         hom = twisted.induced_hom(src, tgt, iota)
@@ -244,25 +251,41 @@ def _recording_induced_hom(monkeypatch):
         seen.append(len(iota))
         return hom
 
-    monkeypatch.setattr(spectra, "induced_hom", checked)
-    return seen
+    return checked
 
 
-# glue builds no specialization order on an apex platform, so D8 makes no
-# closure transports there: 82 maps, 8 fewer than when apex orders were built
-@pytest.mark.parametrize("G, transports", [(dihedral(8), 82), (quaternion(), 6)],
+# transport_point moves intervals, so the ring maps come from the closure
+# transports into the strata of the foot platforms (spectra.induced_hom) and
+# from the ring-path reference each transport is checked against; glue
+# builds no specialization order on an apex platform, so D8 makes no closure
+# transports there
+@pytest.mark.parametrize("G, maps, transports",
+                         [(dihedral(8), 82, 70), (quaternion(), 6, 2)],
                          ids=["D8", "Q8"])
-def test_glue_transports_match_the_reference(monkeypatch, G, transports):
-    seen = _recording_induced_hom(monkeypatch)
+def test_glue_transports_match_the_reference(monkeypatch, G, maps, transports):
+    seen = []
+    monkeypatch.setattr(spectra, "induced_hom", _checked_hom(seen))
+    kinds = checked_transports(monkeypatch, _checked_hom(seen))
     spectra.glue(G, 2)
-    assert len(seen) == transports
+    assert len(seen) == maps
+    assert len(kinds) == transports
 
 
 def test_fold_automorphisms_match_the_reference(monkeypatch):
     E = elementary_abelian(2, 3)
     skel = spectra.skeleton(E, 2, level="strata")
-    seen = _recording_induced_hom(monkeypatch)
-    folded = spectra.fold(skel, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    matrix = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    located = []
+    locate = spectra._locate
+
+    def recording(points, pt, required=True):
+        located.append(locate(points, pt, required))
+        return located[-1]
+
+    monkeypatch.setattr(spectra, "_locate", recording)
+    folded = spectra.fold(skel, matrix)
+    seen = []
+    assert located == fold_by_rings(skel, matrix, _checked_hom(seen))
     assert len(seen) == len(skel.points) == 31
     assert len(folded.points) < len(skel.points)
 

@@ -15,7 +15,7 @@ from permspec.groups import (
     quaternion,
     subgroups,
 )
-from permspec.sections import SectionCategory
+from permspec.sections import SectionCategory, SectionMorphism, SectionObject
 from permspec.spectra import (
     KIND_CUSTOM,
     KIND_FAMILY,
@@ -37,7 +37,10 @@ from permspec.spectra import (
 )
 
 from references import (
+    check_transport_by_rings,
+    checked_transports,
     classify_by_line_search,
+    move_ideal,
     order_by_kind,
     rational_preimage_by_search,
 )
@@ -346,8 +349,8 @@ def test_skeleton_map_functoriality():
             for pt in f.source_platform.skel.points:
                 direct = f(pt)
                 stepped = fa(fb(fc(pt)))
-                assert direct.stratum.elements == stepped.stratum.elements
-                assert direct.ideal == stepped.ideal
+                assert direct.key() == stepped.key()
+                assert direct.kind == stepped.kind
                 checked += 1
     assert checked > 0
 
@@ -382,7 +385,7 @@ def test_glued_json_provenance():
     json.dumps(data)  # serializable
 
 
-# -- subspaces read off their ideals, checked against the line searches ---------------
+# -- subspace ideals and kinds, checked against the line searches ---------------------
 
 
 EA_GROUPS = [(2, 3), (3, 2), (5, 2)]
@@ -390,14 +393,18 @@ EA_GROUPS = [(2, 3), (3, 2), (5, 2)]
 
 @pytest.mark.parametrize("p, r", EA_GROUPS, ids=["C2^3", "C3^2", "C5^2"])
 def test_subspace_of_inverts_subspace_ideal(p, r):
+    # distinct subgroups A of a stratum quotient have distinct ideals, so the
+    # interval [S, pre(A)] and the ideal name the same point; _kind_of reads
+    # the kind off |A| as the line search finds it from the ideal
     E = elementary_abelian(p, r)
     kinds = Counter()
     for S in subgroups(E):
         Q, _, spec = spectra.stratum_data(E, S, p)
         rank_w = spec.ea.rank
+        ideals = set()
         for A in subgroups(Q):
             ideal = spectra._subspace_ideal(spec, A.elements)
-            assert spectra._subspace_of(spec, ideal) == A.elements
+            ideals.add(ideal)
             rank_a = {p ** k: k for k in range(rank_w + 1)}[A.order]
             if rank_a == 0:
                 want = KIND_VERY_CLOSED
@@ -407,9 +414,10 @@ def test_subspace_of_inverts_subspace_ideal(p, r):
                 want = KIND_RATIONAL
             else:  # 2 <= rank A <= rank W - 1: no named point yet
                 want = KIND_CUSTOM
-            assert spectra._classify(spec, ideal) == want
+            assert spectra._kind_of(A.order, Q.order, p) == want
             assert classify_by_line_search(spec, ideal) == want
             kinds[want] += 1
+        assert len(ideals) == len(subgroups(Q))
     # one A per Quillen stratum of each stratum quotient
     assert kinds == {
         (2, 3): {KIND_VERY_CLOSED: 16, KIND_STRATUM_GENERIC: 15,
@@ -421,42 +429,49 @@ def test_subspace_of_inverts_subspace_ideal(p, r):
 
 @pytest.mark.parametrize("p, r", EA_GROUPS, ids=["C2^3", "C3^2", "C5^2"])
 def test_subspace_of_reads_lines(p, r):
+    # a line ideal is the ideal of a subgroup of order p and has the kind
+    # _kind_of gives it; a fattened line ideal and a token ideal are the
+    # ideal of no subgroup, and the line search finds them Custom
     E = elementary_abelian(p, r)
     lines = 0
     for S in subgroups(E):
         Q, _, spec = spectra.stratum_data(E, S, p)
         ea = spec.ea
         subs = {A.elements for A in subgroups(Q)}
+        named = {spectra._subspace_ideal(spec, A) for A in subs}
         for _, line in spectra._lines(spec):
             assert len(line) == p and line in subs
             ideal = spectra._subspace_ideal(spec, line)
-            assert spectra._subspace_of(spec, ideal) == line
+            kind = spectra._kind_of(len(line), Q.order, p)
+            assert kind == (KIND_RATIONAL if ea.rank >= 2 else KIND_STRATUM_GENERIC)
+            assert classify_by_line_search(spec, ideal) == kind
             lines += 1
             if ea.rank < 2:
                 continue
             # the line ideal plus the square of a coordinate off the line has
-            # the same line but is no rational point
+            # the same variables but is no rational point
             lbl = next(l for l, c in spec.coordinate.items()
                        if ea.functional_on(c.f, line[1]))
             x = spec.presentation.var(spec.plus_of[lbl])
             fatter = HomogeneousIdeal(
                 spec.presentation, [dict(g) for g in ideal.generators] + [pmul(x, x, p)]
             )
-            assert spectra._subspace_of(spec, fatter) == line
-            for I, kind in ((ideal, KIND_RATIONAL), (fatter, KIND_CUSTOM)):
-                assert spectra._classify(spec, I) == kind
-                assert classify_by_line_search(spec, I) == kind
+            assert fatter not in named
+            assert classify_by_line_search(spec, fatter) == KIND_CUSTOM
         if ea.rank >= 2:
-            assert spectra._classify(spec, spectra._token_ideal(spec)) == KIND_CUSTOM
+            token = spectra._token_ideal(spec)
+            assert token not in named
+            assert classify_by_line_search(spec, token) == KIND_CUSTOM
     # one line per order-p subgroup of each stratum quotient
     assert lines == {(2, 3): 7 + 7 * 3 + 7, (3, 2): 4 + 4, (5, 2): 6 + 6}[p, r]
 
 
 def test_move_ideal_carries_lines_forward():
-    # a rational point at the line L moves to the rational point at iota(L):
-    # along an automorphism of C3^2 that permutes the four lines in a 4-cycle
-    # (so it and its inverse send every line to different lines), and from
-    # the generic point of a rank-1 stratum into C3^2
+    # the ring path the interval transports stand for: moving the ideal of
+    # the line L gives the ideal of iota(L), along an automorphism of C3^2
+    # that permutes the four lines in a 4-cycle (so it and its inverse send
+    # every line to different lines), and from the generic point of a rank-1
+    # stratum into C3^2
     p = 3
     E = elementary_abelian(p, 2)
     _, _, spec = spectra.stratum_data(E, E.trivial_subgroup(), p)
@@ -466,10 +481,9 @@ def test_move_ideal_carries_lines_forward():
     moved = 0
     for _, line in spectra._lines(spec):
         ideal = spectra._subspace_ideal(spec, line)
-        got = spectra._move_ideal(ideal, spec, spec, theta)
+        got = move_ideal(ideal, spec, spec, theta)
         image = tuple(sorted(theta[x] for x in line))
         assert got == spectra._subspace_ideal(spec, image)
-        assert spectra._subspace_of(spec, got) == image
         moved += image != line
     assert moved == 4
     for S in subgroups(E):
@@ -480,7 +494,7 @@ def test_move_ideal_carries_lines_forward():
         L = next(T for T in subgroups(E) if T.order == p and T.elements != S.elements)
         iota = [next(x for x in L.elements if proj.map[x] == q) for q in range(p)]
         zero = HomogeneousIdeal(specQ.presentation, [])
-        got = spectra._move_ideal(zero, specQ, spec, iota)
+        got = move_ideal(zero, specQ, spec, iota)
         assert got == spectra._subspace_ideal(spec, L.elements)
 
 
@@ -529,24 +543,64 @@ C3XS3 = product(cyclic(3), dihedral(6))
     "G, p, transported",
     [
         (dihedral(8), 2, {KIND_VERY_CLOSED: 32, KIND_STRATUM_GENERIC: 18,
-                          KIND_RATIONAL: 16, KIND_CUSTOM: 4}),
+                          KIND_RATIONAL: 16, KIND_FAMILY: 4}),
         (quaternion(), 2, {KIND_VERY_CLOSED: 2}),
         (C4XC4, 2, {KIND_VERY_CLOSED: 32, KIND_STRATUM_GENERIC: 6, KIND_RATIONAL: 6}),
         (C3XS3, 3, {KIND_VERY_CLOSED: 12, KIND_STRATUM_GENERIC: 10,
-                    KIND_RATIONAL: 8, KIND_CUSTOM: 2}),
+                    KIND_RATIONAL: 8, KIND_FAMILY: 2}),
     ],
     ids=["D8", "Q8", "C4xC4", "C3xS3"],
 )
 def test_classify_matches_the_line_search(monkeypatch, G, p, transported):
-    kinds = Counter()
-    classify = spectra._classify
-
-    def checked(spec, ideal):
-        kind = classify(spec, ideal)
-        assert kind == classify_by_line_search(spec, ideal)
-        kinds[kind] += 1
-        return kind
-
-    monkeypatch.setattr(spectra, "_classify", checked)
+    # every transport glue makes, checked against the ring path: the moved
+    # ideal is the ideal of the image interval, of the kind the line search
+    # finds; isomorphic token transports are tokens
+    kinds = checked_transports(monkeypatch)
     glue(G, p)
-    assert kinds == transported
+    assert Counter(kinds) == transported
+
+
+def test_transport_into_a_larger_stratum():
+    # the inclusion of a plane H of C2^3, checked point by point against the
+    # ring path: eta(1) and token(1) of H land in the proper V_H, so eta(1)
+    # goes to an unnamed Custom point and the token to a Custom point that
+    # is no token
+    E = elementary_abelian(2, 3)
+    one = E.trivial_subgroup()
+    H = next(S for S in subgroups(E) if S.order == 4)
+    x, y = SectionObject(H, one, 2), SectionObject(E.full_subgroup(), one, 2)
+    m = SectionMorphism(x, y, 0)
+    src, tgt = SectionPlatform(x, 2), SectionPlatform(y, 2)
+    found = Counter()
+    for pt in src.points:
+        img = transport_point(m, src, tgt, pt)
+        check_transport_by_rings(m, src, tgt, pt, img)
+        named = spectra._locate(tgt.points, img, required=False) is not None
+        found[pt.kind, img.kind, named] += 1
+    assert found == {
+        (KIND_VERY_CLOSED, KIND_VERY_CLOSED, True): 5,
+        (KIND_RATIONAL, KIND_RATIONAL, True): 3,
+        (KIND_STRATUM_GENERIC, KIND_RATIONAL, True): 3,
+        (KIND_STRATUM_GENERIC, KIND_CUSTOM, False): 1,
+        (KIND_FAMILY, KIND_CUSTOM, False): 1,
+    }
+
+
+def test_transport_and_fold_build_no_ring(monkeypatch):
+    # named points are found by their intervals: no ideal is moved or
+    # contracted while fold and strata-level glue identify points
+    E = elementary_abelian(2, 3)
+    skel = skeleton(E, 2, level="strata")
+
+    def refuse(*args):
+        raise AssertionError("a ring map was built")
+
+    assert not hasattr(spectra, "contract")
+    monkeypatch.setattr(spectra, "induced_hom", refuse)
+    monkeypatch.setattr(twisted, "contract", refuse)
+    monkeypatch.setattr(twisted, "induced_hom", refuse)
+    folded = fold(skel, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert (len(folded.points), len(folded.order)) == (15, 38)
+    glued = glue(dihedral(8), 2, level="strata")
+    assert _kind_counts(glued) == {KIND_VERY_CLOSED: 8, KIND_STRATUM_GENERIC: 10}
+    assert len(glued.order) == 34
