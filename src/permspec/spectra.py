@@ -19,9 +19,9 @@ generated by the coordinates that vanish on A.  A skeleton names:
 
 The interval, with a flag for family tokens, is the identity of a named
 point (SpectrumPoint.key).  Point j lies in the closure of point i exactly
-when [S_j, P_j] lies inside [S_i, P_i]; only family tokens are ordered by
-closure_ideal containment tests.  For a general finite group G the skeleton
-is glued from the skeletons of the maximal elementary abelian p-sections,
+when [S_j, P_j] lies inside [S_i, P_i]; a family token is ordered by the
+zero subspace of its quadric, so no order is computed in a ring.  For a
+general finite group G the skeleton is glued from the skeletons of the maximal elementary abelian p-sections,
 identifying the images of every maximal span of the section category
 (union-find on points).  Restriction along an injection iota of stratum
 quotients sends the generic point of V_A to that of V_iota(A), so transport
@@ -44,11 +44,7 @@ from .groups import (
     subgroups,
 )
 from .gradedrings import HomogeneousIdeal
-from .twisted import (
-    closure_ideal,
-    induced_hom,
-    local_ring,
-)
+from .twisted import local_ring
 from .sections import SectionCategory
 
 DEFAULT_RANK_CAP = 3
@@ -281,21 +277,6 @@ def _token_ideal(spec):
     return HomogeneousIdeal(pres, [poly])
 
 
-def _stratum_shift(E, S_P, S_Q, p, ideal):
-    """closure_ideal from the S_P-stratum into the S_Q-stratum (S_P <= S_Q),
-    expressed in the canonical S_Q-stratum ring."""
-    Qp, projp, _ = stratum_data(E, S_P, p)
-    Hbar = Qp.subgroup(sorted({int(projp.map[x]) for x in S_Q.elements}))
-    # the closure lives in the ring of (E/S_P)/(S_Q/S_P); the isomorphism
-    # iota onto E/S_Q moves it through the ring map of the inverse
-    Q2, proj2, spec2 = stratum_data(Qp, Hbar, p)
-    _, projq, specq = stratum_data(E, S_Q, p)
-    iota = [int(projq.map[projp.reps[proj2.reps[r]]]) for r in range(Q2.order)]
-    inv = sorted(range(Q2.order), key=iota.__getitem__)  # inv[iota[r]] = r
-    closure = closure_ideal(Qp, Hbar, ideal, p)
-    return induced_hom(spec2, specq, inv).apply_ideal(closure)
-
-
 # -- skeleton construction ------------------------------------------------------------
 
 
@@ -374,35 +355,49 @@ def _interval_order(points):
     }
 
 
+def _token_zeros(E, p, token):
+    """L for a family token: the preimage in E of the common kernel of the two
+    coordinates its quadric involves, a subgroup of index p^2."""
+    _, proj, spec = stratum_data(E, token.stratum, p)
+    names = token.ideal.ambient.varnames
+    (quadric,) = token.ideal.generators
+    fs = [spec.coordinate[names[k].removeprefix("zp_")].f
+          for k in range(len(names)) if any(m[k] for m in quadric)]
+    return {
+        x for x in range(E.order)
+        if not any(spec.ea.functional_on(f, int(proj.map[x])) for f in fs)
+    }
+
+
 def _specialization_order(E, p, points):
     """Strict pairs (i, j): point j lies in the closure of point i.
 
     Points other than family tokens are ordered by their intervals
-    (_interval_order); family tokens go through the general closure_ideal
-    transport.
+    (_interval_order).  token(S) is a quadric q in two coordinates of E/S,
+    spanning X, and L is the preimage of their common kernel.  On a stratum
+    S_j >= S whose coordinates F meet X in 0, that is S_j L = E, no relation
+    survives and the closure is the whole stratum; where they meet X in a
+    line, q times zm^2 leaves a nonzero constant and the closure misses the
+    stratum; where F holds X, q descends and cuts out the points [S_j, P_j]
+    inside [S, L] and token(S_j) if it has the same L, since the lex-first
+    coordinates are dual to the two least elements of E outside L.
     """
-    by_stratum = {}
-    for j, q in enumerate(points):
-        by_stratum.setdefault(tuple(q.stratum.elements), []).append(j)
-    strata = {tuple(q.stratum.elements): q.stratum for q in points}
     order = _interval_order(points)
+    low = [set(q.stratum.elements) for q in points]
+    # the top of a token's zero subspace, [S, L]; of any other point, [S, P]
+    top = [
+        _token_zeros(E, p, q) if q.kind == KIND_FAMILY else set(q.top)
+        for q in points
+    ]
     for i, P in enumerate(points):
-        if P.kind != KIND_FAMILY:
-            continue
-        for skey, S_Q in sorted(strata.items()):
-            if not S_Q.contains_subgroup(P.stratum):
-                continue
-            if skey == tuple(P.stratum.elements):
-                for j in by_stratum[skey]:
-                    if j != i and points[j].ideal.contains_ideal(P.ideal):
-                        order.add((i, j))
-                continue
-            moved = _stratum_shift(E, P.stratum, S_Q, p, P.ideal)
-            if moved.is_unit():
-                continue
-            for j in by_stratum[skey]:
-                if points[j].ideal.contains_ideal(moved):
-                    order.add((i, j))
+        if P.kind == KIND_FAMILY:
+            # two tokens' L are equal when one holds the other: both have index p^2
+            order.update(
+                (i, j) for j in range(len(points))
+                if j != i and low[i] <= low[j] and (
+                    top[j] <= top[i]
+                    or len(low[j]) * len(top[i]) == len(low[j] & top[i]) * E.order)
+            )
     return order
 
 

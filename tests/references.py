@@ -34,7 +34,12 @@ from permspec.spectra import (
     _subspace_ideal,
     stratum_data,
 )
-from permspec.twisted import canonical_functional, induced_hom, local_ring
+from permspec.twisted import (
+    canonical_functional,
+    closure_ideal,
+    induced_hom,
+    local_ring,
+)
 
 
 def functional_of_kernel(ea, N):
@@ -186,6 +191,39 @@ def order_by_kind(E, p, points):
             order.update(
                 (i, j) for j, Q in enumerate(points)
                 if Q.kind == KIND_VERY_CLOSED and Q.stratum.elements in ends
+            )
+    return order
+
+
+def token_order_by_closure(E, p, points):
+    """Strict pairs (i, j) with i a family token, by closure_ideal: the
+    token's ideal is carried from its stratum S_P into every stratum S_Q
+    above it, and point j of S_Q lies in the closure of the token when its
+    ideal contains the carried one.  The closure lives in the ring of
+    (E/S_P)/(S_Q/S_P), whose table equals that of E/S_Q because quotient
+    numbers cosets by their least elements, so no ring map moves it."""
+    by_stratum = {}
+    for j, q in enumerate(points):
+        by_stratum.setdefault(q.stratum.elements, []).append(j)
+    order = set()
+    for i, P in enumerate(points):
+        if P.kind != KIND_FAMILY:
+            continue
+        Qp, projp, _ = stratum_data(E, P.stratum, p)
+        for elements, js in sorted(by_stratum.items()):
+            S_Q = points[js[0]].stratum
+            if not S_Q.contains_subgroup(P.stratum):
+                continue
+            moved = P.ideal
+            if elements != P.stratum.elements:
+                Hbar = Qp.subgroup(sorted({int(projp.map[x]) for x in elements}))
+                assert stratum_data(Qp, Hbar, p)[0] == stratum_data(E, S_Q, p)[0]
+                moved = closure_ideal(Qp, Hbar, P.ideal, p)
+                if moved.is_unit():
+                    continue
+            order.update(
+                (i, j) for j in js
+                if j != i and points[j].ideal.contains_ideal(moved)
             )
     return order
 

@@ -303,6 +303,22 @@ def test_criterion_8_property_suites():
                 assert closure_ideal(E3, c2.kernel, I, 3).is_unit()
 
 
+def test_criterion_9_c3_cubed_rational_skeleton():
+    with _Budget(9, 1):
+        skel = skeleton(elementary_abelian(3, 3), 3)
+        assert len(skel.points) == 134
+        assert len(skel.edges()) == 336
+        assert skel.generic_points() == [1]
+
+
+def test_criterion_10_c2_fourth_rational_skeleton():
+    with _Budget(10, 10):
+        skel = skeleton(elementary_abelian(2, 4), 2, cap_rank=4)
+        assert len(skel.points) == 409
+        assert len(skel.edges()) == 1145
+        assert skel.generic_points() == [1]
+
+
 def _random_irreducible(rng, p, d):
     """Coefficients (low to high) of a random monic irreducible polynomial."""
 

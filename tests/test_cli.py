@@ -159,7 +159,7 @@ def test_shorthand_errors_exit_2(capsys):
 
 def test_glue_error_exits_4_and_points_to_strata(monkeypatch, capsys):
     # the real case (D8 x C2 at the rational level) is a golden; this pins
-    # the message without its 10 s of closure transports
+    # the message without its section category
     def fail(*args, **kwargs):
         raise GlueError("transported point eta(1)^[0] is not a named point")
 
@@ -210,6 +210,25 @@ def test_cap_order_reaches_the_skeleton_lattice(capsys):
         assert out.startswith(head)
         code, _, err = run(capsys, command, *argv)
         assert code == EXIT_RESOURCE and "exceeds cap 128" in err
+
+
+def test_cap_rank_reaches_every_skeleton_command(capsys):
+    # C2^4 has rank 4, one above the default cap; the rational skeleton and
+    # glue of C2^4 order their 409 points with no closure transport
+    argv = ["--group", "ea:2:4", "--prime", "2"]
+    heads = {
+        "skeleton": "409 points, 1145 covering edges\n",
+        "glue": "409 points, 1145 covering edges\n",
+        "dim": "dimension 4\np-rank 4\n",
+        "components": "1 irreducible components\n",
+    }
+    for command, head in heads.items():
+        code, out, err = run(capsys, command, *argv, "--cap-rank", "4")
+        assert code == EXIT_OK, err
+        assert out.startswith(head)
+        code, _, err = run(capsys, command, *argv)
+        assert code == EXIT_RESOURCE
+        assert "rank 4 exceeds the configured cap 3" in err
 
 
 def test_components_of_p_prime_group(capsys):

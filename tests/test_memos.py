@@ -17,8 +17,8 @@ from permspec.gradedrings import (
     GradedPresentation, HomogeneousIdeal, buchberger, count_standard_monomials,
 )
 from permspec.groups import elementary_abelian
-from permspec.spectra import skeleton
-from permspec.twisted import present_Rtotal
+from permspec.spectra import _token_ideal, skeleton
+from permspec.twisted import closure_ideal, local_ring, present_Rtotal
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "permspec"
 
@@ -86,10 +86,13 @@ def test_cache_clear_empties_every_memo(monkeypatch):
         copy = functools.cache(memo.__wrapped__)
         monkeypatch.setattr(mod, name, copy)
         fresh.append((name, copy))
-    # the rational skeleton of C2^2 moves its family token through
-    # closure_ideal, so every stratum, ring and closure memo is used
+    # the rational skeleton of C2^2 fills the stratum and ring memos, and
+    # carrying its family token into a line stratum by closure_ideal the
+    # closure, contraction and Groebner memos
     E = elementary_abelian(2, 2)
     skeleton(E, 2)
+    token = _token_ideal(local_ring(E, E.trivial_subgroup(), 2))
+    closure_ideal(E, E.subgroup([0, 1]), token, 2)
     assert hom_dim(E, 2, [(0, 1, 0, 1)], -1) == 1
     assert count_standard_monomials(present_Rtotal(E, 2), 0, (1, 0, 0)) == 1
     for name, memo in fresh:

@@ -1,10 +1,12 @@
+import functools
 import itertools
 import json
+import pathlib
 from collections import Counter
 
 import pytest
 
-from permspec import spectra, twisted
+from permspec import gradedrings, spectra, twisted
 from permspec.gradedrings import HomogeneousIdeal, pmul
 from permspec.groups import (
     GroupError,
@@ -13,6 +15,7 @@ from permspec.groups import (
     elementary_abelian,
     product,
     quaternion,
+    quotient,
     subgroups,
 )
 from permspec.sections import SectionCategory, SectionMorphism, SectionObject
@@ -43,6 +46,8 @@ from references import (
     move_ideal,
     order_by_kind,
     rational_preimage_by_search,
+    relabelled,
+    token_order_by_closure,
 )
 
 
@@ -511,7 +516,8 @@ def test_interval_order_matches_the_rules_by_kind(p, r, level):
     points = spectra._named_points(E, p, level, r)
     order = spectra._interval_order(points)
     assert order == order_by_kind(E, p, points)
-    # family tokens are targets only: the closure transport orders them
+    # family tokens are targets only: _specialization_order orders them by
+    # their zero subspaces
     tokens = {j for j, pt in enumerate(points) if pt.kind == KIND_FAMILY}
     assert not any(i in tokens for (i, _) in order)
     assert (level == "rational") == any(j in tokens for (_, j) in order)
@@ -521,7 +527,7 @@ def test_interval_order_matches_the_rules_by_kind(p, r, level):
 def test_rational_points_specialize_to_the_searched_preimage(p, r):
     E = elementary_abelian(p, r)
     named = spectra._named_points(E, p, "rational", spectra.DEFAULT_RANK_CAP)
-    # tokens take the slow closure transports and are not needed here
+    # tokens are not needed here
     points = [pt for pt in named if pt.kind in (KIND_VERY_CLOSED, KIND_RATIONAL)]
     order = spectra._specialization_order(E, p, points)
     rational = 0
@@ -533,6 +539,79 @@ def test_rational_points_specialize_to_the_searched_preimage(p, r):
         assert below == {pt.stratum.elements, pre.elements}
         rational += 1
     assert rational > 0
+
+
+def _token_pairs(E, p, points):
+    return {
+        (i, j) for (i, j) in spectra._specialization_order(E, p, points)
+        if points[i].kind == KIND_FAMILY
+    }
+
+
+@pytest.mark.parametrize(
+    "p, r, k",
+    [(2, 3, 0), (3, 2, 0), (5, 2, 0), (3, 3, 0), (2, 4, 0),
+     (2, 3, 5), (3, 2, 5), (5, 2, 7), (3, 3, 5), (2, 4, 7)],
+    ids=["C2^3", "C3^2", "C5^2", "C3^3", "C2^4", "C2^3-relabelled",
+         "C3^2-relabelled", "C5^2-relabelled", "C3^3-relabelled", "C2^4-relabelled"],
+)
+def test_stratum_of_a_stratum_quotient_is_the_stratum_quotient(p, r, k):
+    # quotient numbers cosets by their least elements, so for S_P <= S_Q the
+    # quotient (E/S_P)/(S_Q/S_P) has the table of E/S_Q and the isomorphism
+    # iota between them, through least representatives, is the identity
+    E = elementary_abelian(p, r)
+    E = relabelled(E, k) if k else E
+    subs = subgroups(E)
+    for S_P in subs:
+        Qp, projp = quotient(E, S_P)
+        for S_Q in subs:
+            if not S_Q.contains_subgroup(S_P):
+                continue
+            Hbar = Qp.subgroup(sorted({int(projp.map[x]) for x in S_Q.elements}))
+            Q2, proj2 = quotient(Qp, Hbar)
+            Qq, projq = quotient(E, S_Q)
+            assert Q2 == Qq
+            iota = [int(projq.map[projp.reps[proj2.reps[q]]]) for q in range(Q2.order)]
+            assert iota == list(range(Qq.order))
+
+
+@pytest.mark.parametrize(
+    "p, r, k",
+    [(2, 2, 0), (3, 2, 0), (5, 2, 0), (7, 2, 0), (2, 3, 0)]
+    + [(2, 3, k) for k in (2, 3, 5)] + [(3, 2, k) for k in (3, 5, 7)]
+    + [(5, 2, k) for k in (5, 7, 11)],
+)
+def test_token_rule_matches_the_closure_reference(p, r, k):
+    # the zero-subspace rule against closure_ideal containment: (a) a
+    # stratum S_j with S_j L = E lies whole in the closure, (b) points inside
+    # [S, L] and (c) the tokens with the same L do, and nothing else does
+    E = elementary_abelian(p, r)
+    E = relabelled(E, k) if k else E
+    points = spectra._named_points(E, p, "rational", r)
+    rule = _token_pairs(E, p, points)
+    assert rule == token_order_by_closure(E, p, points)
+    # rank 2: token(1) specializes to M(1) and M(E) only
+    kinds = {points[j].kind for (_, j) in rule}
+    assert kinds == ({KIND_VERY_CLOSED} if r == 2 else {
+        KIND_VERY_CLOSED, KIND_STRATUM_GENERIC, KIND_RATIONAL, KIND_FAMILY})
+
+
+TOKEN_PAIRS = pathlib.Path(__file__).resolve().parent / "token_pairs.json"
+
+
+@pytest.mark.parametrize("name", ["C3^3", "C2^4"])
+def test_token_rule_matches_the_recorded_closure_order(name):
+    # the closure reference takes about 50 s on C3^3 and 310 s on C2^4 (one
+    # process on a 2-vCPU x86-64 machine), so its token pairs are recorded
+    # once, as point labels
+    ref = json.loads(TOKEN_PAIRS.read_text())[name]
+    E, p = elementary_abelian(ref["p"], ref["rank"]), ref["p"]
+    points = spectra._named_points(E, p, "rational", ref["rank"])
+    assert len(points) == ref["points"]
+    assert sum(pt.kind == KIND_FAMILY for pt in points) == ref["tokens"]
+    got = sorted([points[i].label, points[j].label] for (i, j) in _token_pairs(E, p, points))
+    assert got == ref["pairs"]
+    assert len(spectra._skeleton_on(E, p, "rational", points).edges()) == ref["edges"]
 
 
 C4XC4 = product(cyclic(4), cyclic(4))
@@ -587,20 +666,32 @@ def test_transport_into_a_larger_stratum():
 
 
 def test_transport_and_fold_build_no_ring(monkeypatch):
-    # named points are found by their intervals: no ideal is moved or
-    # contracted while fold and strata-level glue identify points
+    # named points are found by their intervals and tokens are ordered by
+    # their zero subspaces: no ideal is moved, contracted or carried through
+    # closure_ideal, and no Groebner basis is computed, while fold and glue
+    # identify points and skeletons order them
     E = elementary_abelian(2, 3)
     skel = skeleton(E, 2, level="strata")
 
     def refuse(*args):
-        raise AssertionError("a ring map was built")
+        raise AssertionError("a ring map or Groebner basis was built")
 
-    assert not hasattr(spectra, "contract")
-    monkeypatch.setattr(spectra, "induced_hom", refuse)
-    monkeypatch.setattr(twisted, "contract", refuse)
-    monkeypatch.setattr(twisted, "induced_hom", refuse)
+    for name in ("contract", "induced_hom", "closure_ideal"):
+        assert not hasattr(spectra, name)
+        monkeypatch.setattr(twisted, name, refuse)
+    monkeypatch.setattr(gradedrings, "buchberger", refuse)
+    # an empty Groebner memo, so no warm entry hides a run
+    monkeypatch.setattr(gradedrings, "_reduced_basis",
+                        functools.cache(gradedrings._reduced_basis.__wrapped__))
     folded = fold(skel, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     assert (len(folded.points), len(folded.order)) == (15, 38)
     glued = glue(dihedral(8), 2, level="strata")
     assert _kind_counts(glued) == {KIND_VERY_CLOSED: 8, KIND_STRATUM_GENERIC: 10}
     assert len(glued.order) == 34
+    rational = skeleton(E, 2)
+    assert _kind_counts(rational)[KIND_FAMILY] == 8
+    assert (len(rational.points), len(rational.order)) == (67, 247)
+    glued = glue(dihedral(8), 2)
+    assert _kind_counts(glued) == {KIND_VERY_CLOSED: 8, KIND_STRATUM_GENERIC: 10,
+                                   KIND_RATIONAL: 4, KIND_FAMILY: 3}
+    assert len(glued.order) == 58
