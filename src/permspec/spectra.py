@@ -4,28 +4,29 @@ For an elementary abelian p-group E the spectrum is partitioned into strata
 indexed by the subgroups S <= E; the S-stratum is homeomorphic to the
 homogeneous spectrum of the cohomology of W = E/S, which Quillen stratifies
 by the subgroups A <= W.  A named point is the generic point of one V_A,
-written as the interval [S, P] with P the preimage of A in E; its ideal is
-generated by the coordinates that vanish on A.  A skeleton names:
+written as the interval [S, P] with P the preimage of A in E.  A skeleton
+names:
 
   * M(S)   -- the very closed point, A = 1, interval [S, S];
-  * eta(S) -- the stratum-generic point (zero ideal), A = W, interval [S, E],
-    when W is nontrivial;
+  * eta(S) -- the stratum-generic point, A = W, interval [S, E], W nontrivial;
   * rational points of strata of rank >= 2, one per line A of W, interval
     [S, pre(A)];
   * one GenericFamily token per stratum of rank >= 2, a stand-in for the
-    infinite family of non-rational closed subvarieties, carried by the
-    principal ideal of an irreducible binary quadric; it lies in no proper
-    V_A, so its interval is [S, E].
+    infinite family of non-rational closed subvarieties, cut out by an
+    irreducible binary quadric; it lies in no proper V_A, so its interval
+    is [S, E].
 
 The interval, with a flag for family tokens, is the identity of a named
-point (SpectrumPoint.key).  Point j lies in the closure of point i exactly
-when [S_j, P_j] lies inside [S_i, P_i]; a family token is ordered by the
-zero subspace of its quadric, so no order is computed in a ring.  For a
-general finite group G the skeleton is glued from the skeletons of the maximal elementary abelian p-sections,
-identifying the images of every maximal span of the section category
-(union-find on points).  Restriction along an injection iota of stratum
-quotients sends the generic point of V_A to that of V_iota(A), so transport
-along a section morphism, like fold, moves intervals and builds no ring.
+point (SpectrumPoint.key); a point carries no ideal, and point_ideal writes
+one only for output.  Point j lies in the closure of point i exactly when
+[S_j, P_j] lies inside [S_i, P_i]; a family token is ordered by the zero
+subspace of its quadric, so no order is computed in a ring.  A skeleton
+keeps one set of successors per point.  For a general finite group G the
+skeleton is glued from the skeletons of the maximal elementary abelian
+p-sections, identifying the images of every maximal span of the section
+category (union-find on points).  Restriction along an injection iota of
+stratum quotients sends the generic point of V_A to that of V_iota(A), so
+transport along a section morphism, like fold, moves intervals.
 """
 
 import functools
@@ -78,12 +79,11 @@ def _sub_label(S):
 
 
 class SpectrumPoint:
-    """A point of a skeleton: the interval [stratum, top], its kind and, on a
-    named point, its homogeneous ideal."""
+    """A point of a skeleton: the interval [stratum, top] and its kind.  It
+    carries no ideal; point_ideal writes that of a named point."""
 
-    def __init__(self, stratum, ideal, kind, label, top=None):
+    def __init__(self, stratum, kind, label, top=None):
         self.stratum = stratum  # Subgroup of the ambient platform group
-        self.ideal = ideal  # HomogeneousIdeal in the stratum's ring, or None
         self.kind = kind
         self.label = label
         self.top = top  # sorted elements of the interval top P
@@ -101,21 +101,26 @@ class SpectrumSkeleton:
     """Named points with their specialization partial order.
 
     `order` holds the strict pairs (i, j) meaning point j lies in the closure
-    of point i; covering edges and closures are derived views.
+    of point i, and below[i] the set of those j; covering edges, closures and
+    heights are read off the sets.
     """
 
     def __init__(self, points, order, provenance=None, sections=None):
         self.points = list(points)
         n = len(self.points)
-        rel = set(order)
-        # transitive closure (Warshall over the points), then sanity: antisymmetry
+        below = [set() for _ in range(n)]
+        for a, b in order:
+            below[a].add(b)
+        # transitive closure (Warshall over the points), then sanity: a cycle
+        # puts a point below itself
         for k in range(n):
-            into = [a for a in range(n) if (a, k) in rel]
-            out = [b for b in range(n) if (k, b) in rel]
-            rel.update((a, b) for a in into for b in out if a != b)
-        for (a, b) in rel:
-            assert (b, a) not in rel, "specialization order is not antisymmetric"
-        self.order = frozenset(rel)
+            for js in below:
+                if k in js:
+                    js |= below[k]
+        assert not any(a in js for a, js in enumerate(below)), \
+            "specialization order is not antisymmetric"
+        self.below = [frozenset(js) for js in below]
+        self.order = frozenset((a, b) for a in range(n) for b in below[a])
         self.provenance = provenance or {
             i: [(0, pt.label)] for i, pt in enumerate(self.points)
         }
@@ -125,20 +130,16 @@ class SpectrumSkeleton:
         self.level = None
 
     def closure(self, i):
-        return {j for (a, j) in self.order if a == i} | {i}
+        return self.below[i] | {i}
 
     def edges(self):
-        """Covering specializations (from more generic to more special)."""
-        out = []
-        for (a, b) in self.order:
-            if any(
-                (a, c) in self.order and (c, b) in self.order
-                for c in range(len(self.points))
-                if c not in (a, b)
-            ):
-                continue
-            out.append((a, b))
-        return sorted(out)
+        """Covering specializations (from more generic to more special): b
+        below a and below no c below a."""
+        below = self.below
+        return sorted(
+            (a, b) for a, js in enumerate(below)
+            for b in js.difference(*(below[c] for c in js))
+        )
 
     def very_closed(self):
         return [i for i, pt in enumerate(self.points) if pt.kind == KIND_VERY_CLOSED]
@@ -146,20 +147,15 @@ class SpectrumSkeleton:
     def generic_points(self):
         """Points whose closure is the entire skeleton."""
         n = len(self.points)
-        return [i for i in range(n) if len(self.closure(i)) == n]
+        return [i for i in range(n) if len(self.below[i]) == n - 1]
 
     def height(self):
         """Length of the longest specialization chain (number of steps)."""
-        memo = {}
-
+        @functools.cache
         def down(i):
-            if i not in memo:
-                memo[i] = max(
-                    (1 + down(j) for (a, j) in self.order if a == i), default=0
-                )
-            return memo[i]
+            return max((1 + down(j) for j in self.below[i]), default=0)
 
-        return max((down(i) for i in range(len(self.points))), default=0)
+        return max(map(down, range(len(self.points))), default=0)
 
     def to_json(self):
         pts = []
@@ -172,16 +168,14 @@ class SpectrumSkeleton:
                     "K": [int(x) for x in sec.K.elements],
                 }
             else:
-                section = {
-                    "H": [int(x) for x in pt.stratum.elements],
-                    "K": [0],
-                }
-            pres = pt.ideal.ambient
+                section = {"H": [int(x) for x in pt.stratum.elements], "K": [0]}
+            ideal = point_ideal(pt, self.p)
+            gens = sorted(ideal.ambient.format(dict(g)) for g in ideal.generators)
             pts.append(
                 {
                     "id": i,
                     "section": section,
-                    "ideal": sorted(pres.format(dict(g)) for g in pt.ideal.generators),
+                    "ideal": gens,
                     "kind": pt.kind,
                     "label": pt.label,
                 }
@@ -277,6 +271,16 @@ def _token_ideal(spec):
     return HomogeneousIdeal(pres, [poly])
 
 
+def point_ideal(point, p):
+    """Ideal of a named point in the ring of its stratum: the token's quadric
+    for a family token, else that of the image A of the top in the stratum
+    quotient."""
+    _, proj, spec = stratum_data(point.stratum.parent, point.stratum, p)
+    if point.kind == KIND_FAMILY:
+        return _token_ideal(spec)
+    return _subspace_ideal(spec, {int(proj.map[x]) for x in point.top})
+
+
 # -- skeleton construction ------------------------------------------------------------
 
 
@@ -328,13 +332,12 @@ def _named_points(E, p, level, cap_rank):
             named += [(f"pt[{vec_lbl}]", line) for vec_lbl, line in _lines(spec)]
         for name, A in named:
             points.append(SpectrumPoint(
-                S, _subspace_ideal(spec, A), _kind_of(len(A), Q.order, p),
-                f"{name}({slbl})",
+                S, _kind_of(len(A), Q.order, p), f"{name}({slbl})",
                 tuple(x for x in range(E.order) if int(proj.map[x]) in A),
             ))
         if rational:
-            points.append(SpectrumPoint(S, _token_ideal(spec), KIND_FAMILY,
-                                        f"token({slbl})", tuple(range(E.order))))
+            points.append(SpectrumPoint(S, KIND_FAMILY, f"token({slbl})",
+                                        tuple(range(E.order))))
     return points
 
 
@@ -357,12 +360,10 @@ def _interval_order(points):
 
 def _token_zeros(E, p, token):
     """L for a family token: the preimage in E of the common kernel of the two
-    coordinates its quadric involves, a subgroup of index p^2."""
+    lex-first coordinates of its stratum, those its quadric involves
+    (_token_ideal), a subgroup of index p^2."""
     _, proj, spec = stratum_data(E, token.stratum, p)
-    names = token.ideal.ambient.varnames
-    (quadric,) = token.ideal.generators
-    fs = [spec.coordinate[names[k].removeprefix("zp_")].f
-          for k in range(len(names)) if any(m[k] for m in quadric)]
+    fs = [c.f for c in list(spec.coordinate.values())[:2]]
     return {
         x for x in range(E.order)
         if not any(spec.ea.functional_on(f, int(proj.map[x])) for f in fs)
@@ -440,8 +441,7 @@ def transport_point(m, src_plat, tgt_plat, point):
     preimage.  The interval [S, P] goes to [T(S), T(P)], the generic point of
     V_iota(A) for the injection iota of stratum quotients.  A family token
     goes to the token of T(S) when the two stratum quotients have the same
-    order; otherwise its image lies in a proper V_iota(W) and is Custom.  The
-    image carries no ideal.
+    order; otherwise its image lies in a proper V_iota(W) and is Custom.
     """
     G, g, P = m.source.group, m.g, set(point.top)
     image = [
@@ -459,7 +459,7 @@ def transport_point(m, src_plat, tgt_plat, point):
         kind = KIND_FAMILY if a == w else KIND_CUSTOM
     else:
         kind = _kind_of(a, w, tgt_plat.p)
-    return SpectrumPoint(Tbar, None, kind, f"{point.label}^[{g}]", top)
+    return SpectrumPoint(Tbar, kind, f"{point.label}^[{g}]", top)
 
 
 def skeleton_map(m, p, level="rational", cap_rank=DEFAULT_RANK_CAP):
@@ -571,13 +571,10 @@ def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP,
         for (a, b) in plat.skel.order
     )
     points, provenance = [], {}
+    # transports keep |P/S|, so a class with a very closed point has only such
     for c, members in enumerate(classes):
-        kinds = {flat[gid][1].kind for gid in members}
         ci, rp = flat[members[0]]
-        kind = KIND_VERY_CLOSED if KIND_VERY_CLOSED in kinds else rp.kind
-        points.append(
-            SpectrumPoint(rp.stratum, rp.ideal, kind, f"c{ci}:{rp.label}")
-        )
+        points.append(SpectrumPoint(rp.stratum, rp.kind, f"c{ci}:{rp.label}", rp.top))
         provenance[c] = [(flat[gid][0], flat[gid][1].label) for gid in members]
     glued = SpectrumSkeleton(
         points, order, provenance, sections=[(x, i) for i, x in enumerate(reps)]
@@ -626,24 +623,27 @@ def fold(skel, matrix):
     """Quotient a skeleton of an elementary abelian group by an automorphism.
 
     The automorphism theta is a square matrix over F_p acting on the chosen
-    basis; points are identified with their images: [S, P] goes to
-    [theta S, theta P] and token(S) to token(theta S)."""
+    basis (GroupError for another shape or a singular one); points are
+    identified with their images: [S, P] goes to [theta S, theta P] and
+    token(S) to token(theta S)."""
     E, p = skel.ambient, skel.p
     assert E is not None, "fold needs a skeleton built by skeleton()"
     ea = local_ring(E, E.trivial_subgroup(), p).ea
     r = ea.rank
-    assert len(matrix) == r and all(len(row) == r for row in matrix)
+    if len(matrix) != r or any(len(row) != r for row in matrix):
+        raise GroupError(f"fold needs a {r}x{r} matrix")
     theta = {}
     for x in range(E.order):
         v = ea.vec_of[x]
         w = tuple(sum(matrix[i][k] * v[k] for k in range(r)) % p for i in range(r))
         theta[x] = ea.elem_of[w]
-    assert len(set(theta.values())) == E.order, "matrix is not invertible mod p"
+    if len(set(theta.values())) != E.order:
+        raise GroupError(f"matrix is not invertible mod {p}")
     uf = _UnionFind(len(skel.points))
     for i, pt in enumerate(skel.points):
         S2 = E.subgroup(sorted(theta[x] for x in pt.stratum.elements))
         top = tuple(sorted(theta[x] for x in pt.top))
-        moved = SpectrumPoint(S2, None, pt.kind, pt.label + "'", top)
+        moved = SpectrumPoint(S2, pt.kind, pt.label + "'", top)
         uf.union(i, _locate(skel.points, moved))
     classes, order = uf.collapse(skel.order)
     points, provenance = [], {}

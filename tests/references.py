@@ -32,6 +32,7 @@ from permspec.spectra import (
     KIND_VERY_CLOSED,
     _lines,
     _subspace_ideal,
+    point_ideal,
     stratum_data,
 )
 from permspec.twisted import (
@@ -97,7 +98,7 @@ def transport_by_rings(m, src_plat, tgt_plat, point, hom=induced_hom):
     for x, q in sorted(src_plat.q_of.items()):
         lift.setdefault(q, x)
     iota = [int(proj2.map[tgt_plat.q_of[G.conj(lift[y], g)]]) for y in proj1.reps]
-    return spec2, move_ideal(point.ideal, spec1, spec2, iota, hom)
+    return spec2, move_ideal(point_ideal(point, src_plat.p), spec1, spec2, iota, hom)
 
 
 def check_transport_by_rings(m, src_plat, tgt_plat, point, image, hom=induced_hom):
@@ -153,11 +154,11 @@ def fold_by_rings(skel, matrix, hom=induced_hom):
         _, proj1, spec1 = stratum_data(E, pt.stratum, p)
         _, proj2, spec2 = stratum_data(E, S2, p)
         iota = [int(proj2.map[theta[x]]) for x in proj1.reps]
-        moved = move_ideal(pt.ideal, spec1, spec2, iota, hom)
+        moved = move_ideal(point_ideal(pt, p), spec1, spec2, iota, hom)
         same = [
             j for j, q in enumerate(points)
             if q.stratum.elements == S2.elements
-            and (q.ideal == moved or KIND_FAMILY == q.kind == pt.kind)
+            and (point_ideal(q, p) == moved or KIND_FAMILY == q.kind == pt.kind)
         ]
         assert len(same) == 1
         out.append(same[0])
@@ -168,7 +169,8 @@ def rational_preimage_by_search(E, p, point):
     """The subgroup of E over the line of a rational point: the line found by
     searching every rational line for the point's ideal."""
     _, proj, spec = stratum_data(E, point.stratum, p)
-    line = next(a for (_, a) in _lines(spec) if _subspace_ideal(spec, a) == point.ideal)
+    ideal = point_ideal(point, p)
+    line = next(a for (_, a) in _lines(spec) if _subspace_ideal(spec, a) == ideal)
     return E.subgroup([x for x in range(E.order) if int(proj.map[x]) in line])
 
 
@@ -214,18 +216,62 @@ def token_order_by_closure(E, p, points):
             S_Q = points[js[0]].stratum
             if not S_Q.contains_subgroup(P.stratum):
                 continue
-            moved = P.ideal
+            moved = point_ideal(P, p)
             if elements != P.stratum.elements:
                 Hbar = Qp.subgroup(sorted({int(projp.map[x]) for x in elements}))
                 assert stratum_data(Qp, Hbar, p)[0] == stratum_data(E, S_Q, p)[0]
-                moved = closure_ideal(Qp, Hbar, P.ideal, p)
+                moved = closure_ideal(Qp, Hbar, moved, p)
                 if moved.is_unit():
                     continue
             order.update(
                 (i, j) for j in js
-                if j != i and points[j].ideal.contains_ideal(moved)
+                if j != i and point_ideal(points[j], p).contains_ideal(moved)
             )
     return order
+
+
+def close_pairs(n, pairs):
+    """Transitive closure of a relation on range(n) as a set of pairs, by
+    Warshall's loop over the pairs into and out of each point; pairs (a, a)
+    are not added."""
+    rel = set(pairs)
+    for k in range(n):
+        into = [a for a in range(n) if (a, k) in rel]
+        out = [b for b in range(n) if (k, b) in rel]
+        rel.update((a, b) for a in into for b in out if a != b)
+    return rel
+
+
+def closure_by_pairs(order, i):
+    """i and every j with (i, j) in the order."""
+    return {j for (a, j) in order if a == i} | {i}
+
+
+def edges_by_pairs(n, order):
+    """The pairs (a, b) of a strict order with no c strictly between."""
+    return sorted(
+        (a, b) for (a, b) in order
+        if not any((a, c) in order and (c, b) in order
+                   for c in range(n) if c not in (a, b))
+    )
+
+
+def height_by_pairs(n, order):
+    """Length of the longest chain of a strict order, by a memoised walk
+    down the pairs out of each point."""
+    memo = {}
+
+    def down(i):
+        if i not in memo:
+            memo[i] = max((1 + down(j) for (a, j) in order if a == i), default=0)
+        return memo[i]
+
+    return max((down(i) for i in range(n)), default=0)
+
+
+def generic_by_pairs(n, order):
+    """The points whose closure is all of range(n)."""
+    return [i for i in range(n) if len(closure_by_pairs(order, i)) == n]
 
 
 def relabelled(G, k=5):

@@ -102,6 +102,16 @@ def test_fold_command(capsys):
     assert code == EXIT_PARSE and "matrix" in err
 
 
+@pytest.mark.parametrize("matrix", ["01,1", "01,10,00", "", "11,11"],
+                         ids=["ragged", "three-rows", "empty", "singular"])
+def test_fold_rejects_a_malformed_matrix(capsys, matrix):
+    # a matrix of the wrong shape or one that is not invertible mod p is a
+    # parse error, not a traceback
+    code, out, err = run(capsys, "fold", "--group", "klein", "--matrix", matrix)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and "matrix" in err
+
+
 def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "units")
     assert code == EXIT_OK

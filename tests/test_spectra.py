@@ -1,12 +1,14 @@
 import functools
+import inspect
 import itertools
 import json
 import pathlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from permspec import gradedrings, spectra, twisted
+from permspec import cli, gradedrings, spectra, twisted
 from permspec.gradedrings import HomogeneousIdeal, pmul
 from permspec.groups import (
     GroupError,
@@ -43,6 +45,11 @@ from references import (
     check_transport_by_rings,
     checked_transports,
     classify_by_line_search,
+    close_pairs,
+    closure_by_pairs,
+    edges_by_pairs,
+    generic_by_pairs,
+    height_by_pairs,
     move_ideal,
     order_by_kind,
     rational_preimage_by_search,
@@ -209,7 +216,7 @@ def test_p_rank_matches_sections(G, p):
 
 def _bare_points(n):
     S = cyclic(2).trivial_subgroup()
-    return [SpectrumPoint(S, None, KIND_VERY_CLOSED, f"x{i}") for i in range(n)]
+    return [SpectrumPoint(S, KIND_VERY_CLOSED, f"x{i}") for i in range(n)]
 
 
 def test_skeleton_closes_the_order():
@@ -221,6 +228,65 @@ def test_skeleton_closes_the_order():
 def test_skeleton_rejects_a_cycle():
     with pytest.raises(AssertionError, match="antisymmetric"):
         SpectrumSkeleton(_bare_points(2), {(0, 1), (1, 0)})
+
+
+def _check_order_views(skel, pairs):
+    # the views read off the successor sets against the pair scans
+    n = len(skel.points)
+    order = close_pairs(n, pairs)
+    assert skel.order == order
+    assert skel.edges() == edges_by_pairs(n, order)
+    assert all(skel.closure(i) == closure_by_pairs(order, i) for i in range(n))
+    assert skel.height() == height_by_pairs(n, order)
+    assert skel.generic_points() == generic_by_pairs(n, order)
+
+
+@st.composite
+def _strict_orders(draw):
+    """(n, pairs): pairs i < j drawn at random, not closed under composition,
+    with the indices relabelled by a random permutation."""
+    n = draw(st.integers(0, 14))
+    slots = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    sigma = draw(st.permutations(range(n)))
+    return n, {(sigma[i], sigma[j]) for (i, j), k in zip(slots, keep) if k}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_strict_orders())
+def test_order_views_match_the_pair_scans(case):
+    n, pairs = case
+    _check_order_views(SpectrumSkeleton(_bare_points(n), pairs), pairs)
+
+
+@pytest.mark.parametrize(
+    "build, points, edges",
+    [
+        (lambda: skeleton(elementary_abelian(3, 3), 3), 134, 336),
+        (lambda: skeleton(elementary_abelian(2, 4), 2, cap_rank=4), 409, 1145),
+        (lambda: glue(dihedral(8), 2), 25, 45),
+        (lambda: glue(dihedral(16), 2), 37, 69),
+        (lambda: glue(quaternion(), 2), 15, 23),
+    ],
+    ids=["C3^3", "C2^4", "D8", "D16", "Q8"],
+)
+def test_order_views_match_the_pair_scans_on_skeletons(monkeypatch, build, points,
+                                                       edges):
+    # every skeleton built on the way, the platforms' of a glue included
+    built = []
+
+    class Recorded(SpectrumSkeleton):
+        def __init__(self, points, order, *args, **kwargs):
+            order = set(order)
+            super().__init__(points, order, *args, **kwargs)
+            built.append((self, order))
+
+    monkeypatch.setattr(spectra, "SpectrumSkeleton", Recorded)
+    skel = build()
+    assert (len(skel.points), len(skel.edges())) == (points, edges)
+    assert built[-1][0] is skel
+    for case in built:
+        _check_order_views(*case)
 
 
 def test_components_of_p_prime_group():
@@ -279,7 +345,7 @@ def test_fold_identity_is_noop():
 def test_fold_rejects_singular_matrix():
     E = elementary_abelian(2, 2)
     skel = skeleton(E, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(GroupError):
         fold(skel, [[1, 1], [1, 1]])
 
 
@@ -597,6 +663,7 @@ def test_token_rule_matches_the_closure_reference(p, r, k):
 
 
 TOKEN_PAIRS = pathlib.Path(__file__).resolve().parent / "token_pairs.json"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("name", ["C3^3", "C2^4"])
@@ -665,16 +732,17 @@ def test_transport_into_a_larger_stratum():
     }
 
 
-def test_transport_and_fold_build_no_ring(monkeypatch):
+def test_transport_and_fold_build_no_ring(monkeypatch, capsys):
     # named points are found by their intervals and tokens are ordered by
     # their zero subspaces: no ideal is moved, contracted or carried through
     # closure_ideal, and no Groebner basis is computed, while fold and glue
-    # identify points and skeletons order them
+    # identify points and skeletons order them; a point carries no ideal, so
+    # none is written before the JSON output asks for it
     E = elementary_abelian(2, 3)
     skel = skeleton(E, 2, level="strata")
 
     def refuse(*args):
-        raise AssertionError("a ring map or Groebner basis was built")
+        raise AssertionError("a ring map, Groebner basis or point ideal was built")
 
     for name in ("contract", "induced_hom", "closure_ideal"):
         assert not hasattr(spectra, name)
@@ -683,6 +751,15 @@ def test_transport_and_fold_build_no_ring(monkeypatch):
     # an empty Groebner memo, so no warm entry hides a run
     monkeypatch.setattr(gradedrings, "_reduced_basis",
                         functools.cache(gradedrings._reduced_basis.__wrapped__))
+    for name in ("_subspace_ideal", "_token_ideal"):
+        monkeypatch.setattr(spectra, name, refuse)
+    assert "ideal" not in inspect.signature(SpectrumPoint).parameters
+    for argv in (["skeleton", "--group", "ea:2:3"], ["glue", "--group", "dihedral:8"],
+                 ["fold", "--group", "ea:2:3", "--matrix", "010,001,100"]):
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count("covering edges") == 3
+    with pytest.raises(AssertionError, match="point ideal"):
+        skel.to_json()
     folded = fold(skel, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     assert (len(folded.points), len(folded.order)) == (15, 38)
     glued = glue(dihedral(8), 2, level="strata")
@@ -695,3 +772,11 @@ def test_transport_and_fold_build_no_ring(monkeypatch):
     assert _kind_counts(glued) == {KIND_VERY_CLOSED: 8, KIND_STRATUM_GENERIC: 10,
                                    KIND_RATIONAL: 4, KIND_FAMILY: 3}
     assert len(glued.order) == 58
+    assert not any(hasattr(pt, "ideal") for pt in rational.points + glued.points)
+    # the ideals are written on output alone, as the goldens recorded them
+    monkeypatch.undo()
+    for golden, built in (("skeleton_c2_3_strata_json", skel),
+                          ("glue_d8_json", glued)):
+        want = json.loads((GOLDEN / f"{golden}.out").read_text())["points"]
+        assert [pt["ideal"] for pt in built.to_json()["points"]] == [
+            pt["ideal"] for pt in want]
