@@ -18,7 +18,12 @@ functor), `full` keeps one witness per induced map H -> H'/K'.
 
 The morphism test reads bitmasks of the conjugates S^g, and induced maps
 name each coset of K' by its least element; the group memoises both per
-subgroup.
+subgroup.  Whether any morphism x -> y exists is read off the distinct
+conjugates of x alone, after a test on shapes: the shape of (H, K) is
+(|H|, |K|), and x -> y needs |H| <= |H'| and |K'| <= |K|.  A morphism
+between sections of one shape is a conjugation, so maximal sections and
+their classes follow from at most one hom test per ordered pair and the
+shapes.
 """
 
 import functools
@@ -40,6 +45,7 @@ class SectionObject:
         self.H = H
         self.K = K
         self.p = p
+        self.shape = (H.order, K.order)
         if check:
             if not H.contains_subgroup(K):
                 raise GroupError("K must be contained in H")
@@ -59,6 +65,13 @@ class SectionObject:
 
     def rank(self):
         return p_rank_of_section(self.H, self.K, self.p)
+
+    @functools.cached_property
+    def conjugates(self):
+        """The distinct pairs (mask of H^g, mask of K^g) over g in G, in the
+        order of the first g giving each; the first is (H, K) itself."""
+        masks = self.H.parent.conj_masks
+        return tuple(dict.fromkeys(zip(masks(self.H.elements), masks(self.K.elements))))
 
     def __eq__(self, other):
         return isinstance(other, SectionObject) and self.key() == other.key()
@@ -229,28 +242,40 @@ class SectionCategory:
     # -- maximal objects and relations -------------------------------------------
 
     def has_hom(self, x, y):
-        return any(morphism_condition(x, y, g) for g in range(self.G.order))
+        """Some g in G is a morphism x -> y.  Conjugation keeps orders, so
+        the shapes must allow H^g <= H' and K' <= K^g; then each distinct
+        conjugate pair of x is tested against y's masks."""
+        if x.H.order > y.H.order or y.K.order > x.K.order:
+            return False
+        h, k = y.conjugates[0]
+        outside = ~h
+        return any(not (hg & outside or k & ~kg) for hg, kg in x.conjugates)
 
     def maxel(self):
-        """Conjugacy-class representatives of the maximal sections."""
+        """Conjugacy-class representatives of the maximal sections.
+
+        A morphism x -> y between sections of the same shape is a
+        conjugation: H^g <= H' and K' <= K^g with equal orders force
+        H^g = H' and K^g = K', so g is an isomorphism and g^-1 a morphism
+        back.  Conversely x -> y and y -> x force equal shapes.  So x is not
+        maximal exactly when x -> y for a y of another shape, and two maximal
+        sections are isomorphic exactly when they share a shape and x -> y;
+        a maximal x maps to no other shape, so x -> y alone decides.
+        Objects are scanned in order and the first of each class is kept.
+        """
         return self._maxel
 
     @functools.cached_property
     def _maxel(self):
         objs = self.objects()
-        maximal = []
-        for x in objs:
-            ok = True
-            for y in objs:
-                if self.has_hom(x, y) and not self.has_hom(y, x):
-                    ok = False
-                    break
-            if ok:
-                maximal.append(x)
-        # one representative per isomorphism class
+        has_hom = self.has_hom
+        maximal = [
+            x for x in objs
+            if not any(x.shape != y.shape and has_hom(x, y) for y in objs)
+        ]
         reps = []
         for x in maximal:
-            if not any(self.has_hom(x, r) and self.has_hom(r, x) for r in reps):
+            if not any(has_hom(x, r) for r in reps):
                 reps.append(x)
         return reps
 

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from permspec import modp, spectra
+from permspec import modp, sections, spectra
 from permspec.gradedrings import (
     _divides,
     _lcm,
@@ -272,6 +272,29 @@ def height_by_pairs(n, order):
 def generic_by_pairs(n, order):
     """The points whose closure is all of range(n)."""
     return [i for i in range(n) if len(closure_by_pairs(order, i)) == n]
+
+
+def has_hom_by_elements(cat, x, y):
+    """Some g in G is a morphism x -> y: `morphism_condition` for every g
+    in turn, read from the module at call time so a test can replace it."""
+    return any(sections.morphism_condition(x, y, g) for g in range(cat.G.order))
+
+
+def maxel_by_pairs(cat):
+    """Maximal-section representatives by the all-pairs loop: x is maximal
+    when no y has x -> y without y -> x, and x is kept unless x -> r and
+    r -> x for a representative r kept before it.  Shapes are not read."""
+    objs = cat.objects()
+
+    def hom(x, y):
+        return has_hom_by_elements(cat, x, y)
+
+    maximal = [x for x in objs if not any(hom(x, y) and not hom(y, x) for y in objs)]
+    reps = []
+    for x in maximal:
+        if not any(hom(x, r) and hom(r, x) for r in reps):
+            reps.append(x)
+    return reps
 
 
 def relabelled(G, k=5):

@@ -15,6 +15,7 @@ from permspec.groups import (
     dihedral,
     elementary_abelian,
     from_permutations,
+    group_from_spec,
     product,
     quaternion,
     subgroups,
@@ -317,6 +318,19 @@ def test_criterion_10_c2_fourth_rational_skeleton():
         assert len(skel.points) == 409
         assert len(skel.edges()) == 1145
         assert skel.generic_points() == [1]
+
+
+def test_criterion_11_maximal_sections_at_p_2():
+    # (group, maximal section classes): S5 from a perm spec, D64 and C2^4,
+    # each SectionCategory(G, 2).maxel() under 1 s, sections included
+    s5 = group_from_spec(
+        {"kind": "perm", "degree": 5, "generators": [[[0, 1]], [[0, 1, 2, 3, 4]]]})
+    cases = [(s5, 3), (dihedral(64), 9), (elementary_abelian(2, 4), 1)]
+    with _Budget(11, 3 * 1):
+        for G, classes in cases:
+            t0 = time.monotonic()
+            assert len(SectionCategory(G, 2).maxel()) == classes, G.order
+            assert time.monotonic() - t0 < 1, G.order
 
 
 def _random_irreducible(rng, p, d):

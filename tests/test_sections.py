@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import json
@@ -15,6 +16,7 @@ from permspec.groups import (
     cyclic,
     dihedral,
     elementary_abelian,
+    from_permutations,
     p_subgroups,
     product,
     quaternion,
@@ -28,6 +30,8 @@ from permspec.sections import (
     induced_map,
     morphism_condition,
 )
+
+from references import has_hom_by_elements, maxel_by_pairs, relabelled
 
 
 # (group, p, object count, maximal classes, maximal relations)
@@ -319,6 +323,9 @@ def test_category_matches_set_reference(name, monkeypatch):
         for r in cat.maximal_relations()
     ]
     monkeypatch.setattr(sections, "morphism_condition", _ref_morphism_condition)
+    # has_hom reads conjugate masks, not morphism_condition: the reference
+    # category runs the set-based test for every element instead
+    monkeypatch.setattr(SectionCategory, "has_hom", has_hom_by_elements)
     monkeypatch.setattr(SectionMorphism, "induced_map_key", _ref_induced_map_key)
     monkeypatch.setattr(SectionCategory, "_dominates", _ref_dominates)
     ref = SectionCategory(G, p)
@@ -331,6 +338,89 @@ def test_category_matches_set_reference(name, monkeypatch):
         (r.apex.key(), r.f1.g, r.f1.target.key(), r.f2.g, r.f2.target.key())
         for r in ref.maximal_relations()
     ] == rels
+
+
+S4 = from_permutations(4, [[[0, 1]], [[0, 1, 2, 3]]])
+LARGER_GROUPS = [
+    ("D8xC2", product(dihedral(8), cyclic(2)), 2),
+    ("S4-p2", S4, 2),
+    ("S4-p3", S4, 3),
+]
+MAXEL_GROUPS = (
+    [(f"pool-{i}-order{G.order}-p{p}", G, p) for i, (G, p) in enumerate(POOL)]
+    + REFERENCE_GROUPS
+    + LARGER_GROUPS
+    + [("C2^4", elementary_abelian(2, 4), 2)]
+)
+
+
+def _relabelled(G):
+    # relabelled(G, k) needs k prime to |G| - 1
+    k = next(k for k in itertools.count(5) if math.gcd(k, G.order - 1) == 1)
+    return relabelled(G, k)
+
+
+@pytest.mark.parametrize(
+    "G, p",
+    [(G, p) for _, G, p in MAXEL_GROUPS]
+    + [(_relabelled(G), p) for _, G, p in MAXEL_GROUPS],
+    ids=[name for name, _, _ in MAXEL_GROUPS]
+    + [f"{name}-relabelled" for name, _, _ in MAXEL_GROUPS],
+)
+def test_maxel_matches_the_pairwise_reference(G, p):
+    """The shape rule keeps the representatives, in the order, of the loop
+    that tests both hom directions for every pair of objects."""
+    cat = SectionCategory(G, p)
+    assert [x.key() for x in cat.maxel()] == [x.key() for x in maxel_by_pairs(cat)]
+
+
+HOM_CATEGORIES = REFERENCE_CATEGORIES + [
+    (name, SectionCategory(G, p)) for name, G, p in LARGER_GROUPS
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(HOM_CATEGORIES), st.data())
+def test_has_hom_matches_the_element_loop(named, data):
+    """has_hom, with its shape filter and distinct conjugates, answers as
+    morphism_condition tried at every g, on pairs the filter rejects too."""
+    _, cat = named
+    objs = cat.objects()
+    x = data.draw(st.sampled_from(objs))
+    y = data.draw(st.sampled_from(objs))
+    want = any(morphism_condition(x, y, g) for g in range(cat.G.order))
+    assert cat.has_hom(x, y) is want
+
+
+def test_has_hom_sees_every_outcome():
+    """On all pairs of sections of D8 and of S4 at p = 2, has_hom equals the
+    element loop, and pairs rejected by shape, accepted and rejected after
+    the conjugate test all occur."""
+    seen = set()
+    for G in (dihedral(8), S4):
+        cat = SectionCategory(G, 2)
+        for x in cat.objects():
+            for y in cat.objects():
+                got = cat.has_hom(x, y)
+                assert got is has_hom_by_elements(cat, x, y)
+                shaped = x.H.order <= y.H.order and y.K.order <= x.K.order
+                seen.add((shaped, got))
+    assert seen == {(False, False), (True, True), (True, False)}
+
+
+def test_conjugates_are_distinct_and_start_at_the_section():
+    cat = SectionCategory(S4, 2)
+    G = cat.G
+    for x in cat.objects():
+        pairs = {
+            (sum(1 << a for a in x.H.conjugate(g).elements),
+             sum(1 << a for a in x.K.conjugate(g).elements))
+            for g in range(G.order)
+        }
+        assert len(x.conjugates) == len(pairs) and set(x.conjugates) == pairs
+        assert x.conjugates[0] == (sum(1 << a for a in x.H.elements),
+                                   sum(1 << a for a in x.K.elements))
+        assert x.shape == (x.H.order, x.K.order)
 
 
 @settings(max_examples=400, deadline=None)
