@@ -8,7 +8,7 @@ The pipeline, bottom to top:
 - ``complexes``: bounded complexes of permutation modules and the exact
   homotopy oracle (null-homotopy, contractibility, hom dimensions).
 - ``twisted``: presented twisted cohomology rings of elementary abelian
-  groups, the quotient/restriction/gluing maps, closure transport.
+  groups, the quotient and restriction maps, closure transport.
 - ``sections``: the category of elementary abelian p-sections of a finite
   group, its maximal objects and maximal spans.
 - ``spectra``: named spectrum points with their specialization order, one

@@ -12,6 +12,7 @@ outside the named points; --level strata glues such groups).
 
 import argparse
 import json
+import math
 import sys
 
 from .groups import (
@@ -143,7 +144,7 @@ def run(argv=None):
     args = ap.parse_args(argv)
 
     p = args.prime
-    if p < 2 or any(p % k == 0 for k in range(2, p)):
+    if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
         raise CliParseError(f"--prime {p} is not prime")
     if args.cap_order <= 0 or args.cap_rank <= 0:
         raise CliParseError("caps must be positive")

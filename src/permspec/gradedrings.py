@@ -514,72 +514,6 @@ def eliminate(I, varnames):
     return HomogeneousIdeal(amb, kept, check=False)
 
 
-def _poly_div_exact(f, g, order, p):
-    """Quotient of an exact division f = q*g (raises if remainder nonzero)."""
-    q = {}
-    work = dict(f)
-    lm, lc = leading(g, order)
-    while work:
-        m, c = leading(work, order)
-        if not _divides(lm, m):
-            raise RingError("inexact polynomial division")
-        t = {_mono_div(m, lm): (c * pow(lc, p - 2, p)) % p}
-        q = padd(q, t, p)
-        work = padd(work, pscale(pmul(t, g, p), p - 1, p), p)
-    return q
-
-
-def intersect(I, J):
-    """I ∩ J via the single-tag-variable trick."""
-    amb = I.ambient
-    ext = GradedPresentation(
-        amb.p,
-        [("t@", 0)] + list(zip(amb.varnames, amb.degrees)),
-        check=False,
-    )
-
-    def up(f):
-        return {(0,) + m: c for m, c in f.items()}
-
-    t = ext.var("t@")
-    one_minus_t = padd(ext.one(), pscale(t, amb.p - 1, amb.p), amb.p)
-    gens = [pmul(t, up(g), amb.p) for g in I.generators]
-    gens += [pmul(one_minus_t, up(g), amb.p) for g in J.generators]
-    gens += [up(r) for r in amb.relations]
-    ext_ideal = HomogeneousIdeal(ext, gens, check=False)
-    elim = eliminate(ext_ideal, ["t@"])
-    down = [
-        {m[1:]: c for m, c in g.items()} for g in elim.generators
-    ]
-    return HomogeneousIdeal(amb, down, check=False)
-
-
-def quotient_by(I, f):
-    """Ideal quotient (I : f) computed in the ambient polynomial ring."""
-    amb = I.ambient
-    f = amb.poly(f)
-    if not f:
-        raise RingError("quotient by zero")
-    J = intersect(
-        HomogeneousIdeal(
-            amb, list(I.generators) + list(amb.relations), check=False
-        ),
-        HomogeneousIdeal(amb, [f], check=False),
-    )
-    out = [_poly_div_exact(dict(g), f, amb.order, amb.p) for g in J.generators]
-    return HomogeneousIdeal(amb, out, check=False)
-
-
-def saturate(I, f):
-    """I : f^infinity, by iterating the ideal quotient until stable."""
-    cur = I
-    while True:
-        nxt = quotient_by(cur, f)
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
 class GradedRingHom:
     """Ring homomorphism between presentations, one image per source variable.
 

@@ -510,11 +510,15 @@ def _spec_field(spec, name):
 
 
 def _spec_int(spec, name):
+    """An integer field, or the digit string a shorthand passes; bools and
+    floats are refused, not truncated."""
     value = _spec_field(spec, name)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise GroupError(f"{name!r} must be an integer, not {value!r}")
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise GroupError(f"{name!r} must be an integer, not {value!r}")
 
 
 # -- lattice operations --------------------------------------------------------
@@ -658,27 +662,6 @@ def weyl(G, H):
     return N, W, proj
 
 
-def frattini(G, p=None):
-    """Frattini subgroup of a p-group: intersection of its index-p subgroups."""
-    if p is None:
-        n = G.order
-        p = 2
-        while n % p:
-            p += 1
-    n = G.order
-    while n % p == 0:
-        n //= p
-    if n != 1:
-        raise GroupError("frattini implemented for p-groups only")
-    if G.order == 1:
-        return G.trivial_subgroup()
-    maxes = [H for H in subgroups(G) if H.order * p == G.order]
-    elems = set(range(G.order))
-    for H in maxes:
-        elems &= set(H.elements)
-    return Subgroup(G, elems, check=False)
-
-
 def is_elementary_abelian(X, p):
     """True iff the group (or subgroup) is abelian of exponent dividing p."""
     if isinstance(X, Subgroup):
@@ -700,66 +683,3 @@ def p_rank_of_section(H, K, p):
         n //= p
         r += 1
     return r
-
-
-def conjugating_elements(G, A, B):
-    """All g with A^g = B."""
-    if A.order != B.order:
-        return []
-    bs = set(B.elements)
-    return [
-        g
-        for g in range(G.order)
-        if all(G.conj(a, g) in bs for a in A.elements)
-    ]
-
-
-def is_isomorphic(G, H, cap=16):
-    """Isomorphism test by relabeling search; intended for small groups."""
-    if G.order != H.order:
-        return False
-    if G.order > cap:
-        raise ResourceError(f"isomorphism search capped at order {cap}")
-    if sorted(G.element_order(a) for a in G.elements()) != sorted(
-        H.element_order(a) for a in H.elements()
-    ):
-        return False
-    # pick a small generating set of G greedily
-    gens = []
-    S = G.generated_subgroup([])
-    for a in sorted(G.elements(), key=lambda x: -G.element_order(x)):
-        if not S.contains(a):
-            gens.append(a)
-            S = G.generated_subgroup(gens)
-            if S.order == G.order:
-                break
-    by_order = {}
-    for b in H.elements():
-        by_order.setdefault(H.element_order(b), []).append(b)
-
-    def extend(k, images):
-        if k == len(gens):
-            # build the full map by closure and verify
-            mapping = {0: 0}
-            frontier = [0]
-            pairs = list(zip(gens, images))
-            while frontier:
-                x = frontier.pop()
-                for g, img in pairs:
-                    y = G.mul(x, g)
-                    fy = H.mul(mapping[x], img)
-                    if y in mapping:
-                        if mapping[y] != fy:
-                            return False
-                    else:
-                        mapping[y] = fy
-                        frontier.append(y)
-            if len(mapping) != G.order:
-                return False
-            return len(set(mapping.values())) == G.order
-        for b in by_order.get(G.element_order(gens[k]), []):
-            if extend(k + 1, images + [b]):
-                return True
-        return False
-
-    return extend(0, [])

@@ -12,9 +12,8 @@ compatible with composition; with only the weaker intersection condition the
 diagrams induced by inclusion-after-inflation fail to commute.  Every morphism factors as a
 kernel-shrink (type c), an inclusion (type b) and a conjugation
 (type a); the factorization is what the spectrum engine transports points
-along.  Hom-sets can be reduced: `raw` keeps every witness element, `center_target`
-identifies g ~ g s for s in Z(G) H' (these act trivially on the induced
-functor), `full` keeps one witness per induced map H -> H'/K'.
+along.  Hom-sets can be reduced: `raw` keeps every witness element, `full`
+keeps one witness per induced map H -> H'/K'.
 
 The morphism test reads bitmasks of the conjugates S^g, and induced maps
 name each coset of K' by its least element; the group memoises both per
@@ -32,7 +31,6 @@ import itertools
 from .groups import (
     DEFAULT_ORDER_CAP,
     GroupError,
-    center,
     p_rank_of_section,
     p_subgroups,
 )
@@ -176,10 +174,6 @@ class SectionCategory:
                     out.append(SectionObject(H, K, self.p, check=False))
         return out
 
-    @functools.cached_property
-    def _z_center(self):
-        return center(self.G)
-
     def homs(self, x, y, reduction="raw"):
         """Morphisms x -> y under the requested reduction."""
         ck = (x.H.elements, x.K.elements, y.H.elements, y.K.elements, reduction)
@@ -194,19 +188,6 @@ class SectionCategory:
         if reduction == "raw":
             self._hom_cache[ck] = raw
             return raw
-        if reduction == "center_target":
-            frontier = set(self._z_center.elements) | set(y.H.elements)
-            # subgroup generated by Z(G) and H'
-            gen = self.G.generated_subgroup(sorted(frontier))
-            gen_set = set(gen.elements)
-            seen, out = set(), []
-            for m in raw:
-                coset = frozenset(self.G.mul(m.g, s) for s in gen_set)
-                if coset not in seen:
-                    seen.add(coset)
-                    out.append(m)
-            self._hom_cache[ck] = out
-            return out
         if reduction == "full":
             seen, out = set(), []
             for m in raw:

@@ -462,20 +462,6 @@ def transport_point(m, src_plat, tgt_plat, point):
     return SpectrumPoint(Tbar, kind, f"{point.label}^[{g}]", top)
 
 
-def skeleton_map(m, p, level="rational", cap_rank=DEFAULT_RANK_CAP):
-    """The point-transport function of a section morphism, with its platforms
-    attached as .source_platform / .target_platform."""
-    src = SectionPlatform(m.source, p, level, cap_rank)
-    tgt = SectionPlatform(m.target, p, level, cap_rank)
-
-    def f(point):
-        return transport_point(m, src, tgt, point)
-
-    f.source_platform = src
-    f.target_platform = tgt
-    return f
-
-
 def _locate(points, pt, required=True):
     """Index of the named point with pt's key."""
     key = pt.key()
@@ -653,37 +639,3 @@ def fold(skel, matrix):
     out = SpectrumSkeleton(points, order, provenance)
     out.ambient, out.p, out.level = E, p, skel.level
     return out
-
-
-def frattini_cover_check(E, p, family=None, max_family=4):
-    """Membership in every U(b_N) of an intersection-trivial family of index-p
-    subgroups forces membership in all of them, checked on every named point.
-
-    A named point lies in U(b_N) exactly when its stratum is contained in N;
-    for a family with trivial intersection this must pin the stratum to the
-    trivial subgroup.  With family=None every intersection-trivial family of
-    at most max_family index-p subgroups is checked.  Only the named points
-    are needed, so no specialization order is built."""
-    points = _named_points(E, p, "rational", DEFAULT_RANK_CAP)
-    spec = local_ring(E, E.trivial_subgroup(), p)
-    kernels = [spec.coordinate[lbl].kernel for lbl in sorted(spec.plus_of)]
-
-    def trivial_meet(fam):
-        return functools.reduce(Subgroup.intersection, fam).order == 1
-
-    if family is not None:
-        families = [list(family)]
-        if not trivial_meet(families[0]):
-            raise GroupError("family does not intersect trivially")
-    else:
-        families = [
-            combo
-            for size in range(1, max_family + 1)
-            for combo in itertools.combinations(kernels, size)
-            if trivial_meet(combo)
-        ]
-    return not any(
-        pt.stratum.order != 1 and all(N.contains_subgroup(pt.stratum) for N in fam)
-        for fam in families
-        for pt in points
-    )

@@ -366,16 +366,6 @@ def res_hom(Esub, E, H, p):
     return induced_hom(local_ring(E, H, p), local_ring(Esub_grp, Hsub, p), embed)
 
 
-class GlueIso:
-    """Mutually inverse dictionaries between localizations of R'_E(H), R'_E(K)."""
-
-    def __init__(self, loc_H, loc_K, to_K, to_H):
-        self.loc_H = loc_H
-        self.loc_K = loc_K
-        self.to_K = to_K
-        self.to_H = to_H
-
-
 def _localized_presentation(pres, names):
     """Extend a presentation by inverses inv_x of the named generators x."""
     variables = list(zip(pres.varnames, pres.degrees))
@@ -392,43 +382,6 @@ def _localized_presentation(pres, names):
             }
         )
     return GradedPresentation(pres.p, variables, relations=rels, check=False)
-
-
-def glue_iso(E, H, K, p):
-    """The canonical identification between localizations of R'_E(H) and R'_E(K).
-
-    Kernels where H and K disagree get their generator inverted on both sides;
-    the dictionary is zp_N <-> inv_zm_N (and zm_N <-> inv_zp_N) there, identity
-    elsewhere.
-    """
-    sH = local_ring(E, H, p)
-    sK = local_ring(E, K, p)
-    disagree = sorted(
-        lbl
-        for lbl in sH.coordinate
-        if (lbl in sH.plus_of) != (lbl in sK.plus_of)
-    )
-    locH, locK = (
-        _localized_presentation(s.presentation, [s.varname(lbl) for lbl in disagree])
-        for s in (sH, sK)
-    )
-
-    def dictionary(src_spec, tgt_spec, src_loc, tgt_loc):
-        images = []
-        for name in src_loc.varnames:
-            inverted = name.startswith("inv_")
-            lbl = name.removeprefix("inv_").split("_", 1)[1]
-            same_side = (lbl in src_spec.plus_of) == (lbl in tgt_spec.plus_of)
-            # zp <-> inverse of zm where the sides disagree
-            tgt_name = tgt_spec.varname(lbl)
-            images.append(
-                tgt_loc.var(f"inv_{tgt_name}" if inverted == same_side else tgt_name)
-            )
-        return GradedRingHom(src_loc, tgt_loc, images)
-
-    to_K = dictionary(sH, sK, locH, locK)
-    to_H = dictionary(sK, sH, locK, locH)
-    return GlueIso(locH, locK, to_K, to_H)
 
 
 # -- closure transport ---------------------------------------------------------------

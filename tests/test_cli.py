@@ -129,6 +129,21 @@ def test_parse_errors(capsys):
     assert code == EXIT_PARSE
 
 
+def test_prime_check_runs_to_the_square_root(capsys):
+    # the suite name is checked after the prime, so the message tells which
+    # check refused the call
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", "nosuch", "--prime", "1000000007")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_PARSE and "unknown verify suite" in err
+    for p in (1, 4, 9, 25):
+        code, _, err = run(capsys, "verify", "nosuch", "--prime", str(p))
+        assert code == EXIT_PARSE and "is not prime" in err
+    for p in (2, 3, 5, 7):
+        code, _, err = run(capsys, "verify", "nosuch", "--prime", str(p))
+        assert code == EXIT_PARSE and "unknown verify suite" in err
+
+
 @pytest.mark.parametrize("spec, names", [
     ('{"kind":"table","table":5}', "table"),
     ('{"kind":"table"}', "table"),
@@ -143,6 +158,21 @@ def test_malformed_json_group_spec_exits_2(capsys, spec, names):
     code, out, err = run(capsys, "sections", "--group", spec)
     assert code == EXIT_PARSE and out == ""
     assert err.startswith("error: ") and names in err
+
+
+@pytest.mark.parametrize("value", [2.5, True, 8.0])
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "cyclic"}, "n"),
+    ({"kind": "dihedral"}, "order"),
+    ({"kind": "elementary_abelian", "rank": 2}, "p"),
+    ({"kind": "elementary_abelian", "p": 2}, "rank"),
+])
+def test_non_integer_json_fields_exit_2(capsys, spec, field, value):
+    # int() would truncate these: 2.5 to C2, true to C1
+    text = json.dumps({**spec, field: value})
+    code, out, err = run(capsys, "sections", "--group", text)
+    assert code == EXIT_PARSE and out == ""
+    assert f"'{field}' must be an integer" in err
 
 
 @pytest.mark.parametrize("text", [

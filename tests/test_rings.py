@@ -24,15 +24,12 @@ from permspec.gradedrings import (
     count_standard_monomials,
     eliminate,
     format_poly,
-    intersect,
     leading,
     normal_form,
     padd,
     parse_poly,
     pmul,
-    quotient_by,
     s_polynomial,
-    saturate,
 )
 from permspec.groups import elementary_abelian
 from permspec.spectra import KIND_FAMILY, _named_points, _specialization_order
@@ -232,18 +229,6 @@ def test_groebner_reduces_s_polynomials():
                 f, g, leading(f, pres.order), leading(g, pres.order), p
             )
             assert not normal_form(s, [dict(t) for t in gb], pres.order, p)
-
-
-def test_ideal_operations():
-    pres = _poly_ring(2, ["x", "y"])
-    Ix = HomogeneousIdeal(pres, [pres.poly("x")])
-    Iy = HomogeneousIdeal(pres, [pres.poly("y")])
-    J = intersect(Ix, Iy)
-    assert J == HomogeneousIdeal(pres, [pres.poly("x*y")])
-    # (x) : x = (1), (x*y) : x = (y)
-    assert quotient_by(Ix, pres.poly("x")).is_unit()
-    assert quotient_by(J, pres.poly("x")) == Iy
-    assert saturate(J, pres.poly("x")) == Iy
 
 
 def test_eliminate():

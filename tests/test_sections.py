@@ -207,9 +207,8 @@ def test_hom_reductions_nest():
     for x in objs[:8]:
         for y in objs[:8]:
             raw = cat.homs(x, y, "raw")
-            ct = cat.homs(x, y, "center_target")
             full = cat.homs(x, y, "full")
-            assert len(full) <= len(ct) <= len(raw)
+            assert len(full) <= len(raw)
             assert bool(raw) == bool(full)
             # full keeps one witness per induced functor
             assert len({m.induced_map_key() for m in raw}) == len(full)
@@ -315,7 +314,7 @@ def test_category_matches_set_reference(name, monkeypatch):
         (i, j, red): [m.g for m in cat.homs(x, y, red)]
         for i, x in enumerate(objs)
         for j, y in enumerate(objs)
-        for red in ("raw", "center_target", "full")
+        for red in ("raw", "full")
     }
     maxel = [x.key() for x in cat.maxel()]
     rels = [

@@ -33,11 +33,9 @@ from permspec.spectra import (
     components,
     dimension,
     fold,
-    frattini_cover_check,
     glue,
     p_rank,
     skeleton,
-    skeleton_map,
     transport_point,
 )
 
@@ -349,26 +347,6 @@ def test_fold_rejects_singular_matrix():
         fold(skel, [[1, 1], [1, 1]])
 
 
-def test_frattini_cover_rank2(monkeypatch):
-    # the check reads only the named points: building a specialization
-    # order (seconds on C2^3) would fail here
-    def no_order(*args):
-        raise AssertionError("frattini_cover_check built a specialization order")
-
-    monkeypatch.setattr(spectra, "_specialization_order", no_order)
-    for p, r in ((2, 2), (3, 2), (2, 3), (3, 3)):
-        assert frattini_cover_check(elementary_abelian(p, r), p)
-    # a family that does not intersect trivially is refused, whole or in part
-    E = elementary_abelian(2, 3)
-    spec = twisted.local_ring(E, E.trivial_subgroup(), 2)
-    kernels = [spec.coordinate[lbl].kernel for lbl in sorted(spec.plus_of)]
-    # labels 001, 010, 100 are independent; 001, 010, 011 are not
-    assert frattini_cover_check(E, 2, family=[kernels[i] for i in (0, 1, 3)])
-    for family in (kernels[:1], kernels[:2], kernels[:3]):
-        with pytest.raises(GroupError, match="does not intersect trivially"):
-            frattini_cover_check(E, 2, family=family)
-
-
 def _reference_lines(ea):
     """One (label, sorted elements) per line, by search: every nonzero vector
     in lex order whose first nonzero entry is 1, with its multiples."""
@@ -403,7 +381,7 @@ def test_rank3_strata_skeletons():
             assert closed == (skel.points[i].kind == KIND_VERY_CLOSED)
 
 
-def test_skeleton_map_functoriality():
+def test_transport_functoriality():
     # composing transports along a factorized morphism agrees with the
     # direct transport, for every point over every D8 morphism between
     # maximal sections and their apexes
@@ -412,14 +390,16 @@ def test_skeleton_map_functoriality():
     checked = 0
     for rel in cat.maximal_relations():
         for leg in (rel.f1, rel.f2):
-            f = skeleton_map(leg, p)
             a, b, c = cat.factorize(leg)
-            fc = skeleton_map(c, p)
-            fb = skeleton_map(b, p)
-            fa = skeleton_map(a, p)
-            for pt in f.source_platform.skel.points:
-                direct = f(pt)
-                stepped = fa(fb(fc(pt)))
+            src, after_c, after_b, tgt = (
+                SectionPlatform(sec, p)
+                for sec in (leg.source, c.target, b.target, leg.target)
+            )
+            for pt in src.skel.points:
+                direct = transport_point(leg, src, tgt, pt)
+                stepped = transport_point(c, src, after_c, pt)
+                stepped = transport_point(b, after_c, after_b, stepped)
+                stepped = transport_point(a, after_b, tgt, stepped)
                 assert direct.key() == stepped.key()
                 assert direct.kind == stepped.kind
                 checked += 1

@@ -19,7 +19,6 @@ from permspec.twisted import (
     closure_ideal,
     coordinates,
     dependent_triples,
-    glue_iso,
     leading_scalar,
     local_ring,
     present_Rloc,
@@ -181,25 +180,6 @@ def test_res_hom_scalars_p3():
             for n, im in zip(hom.source.varnames, hom.images)
         }
     assert seen == expected
-
-
-def test_glue_iso_roundtrip():
-    E = elementary_abelian(2, 2)
-    subs = [S for S in subgroups(E) if S.order == 2]
-    pairs = [(subs[0], subs[1]), (E.trivial_subgroup(), E.full_subgroup())]
-    for H, K in pairs:
-        gi = glue_iso(E, H, K, 2)
-        back = gi.to_H.compose(gi.to_K)
-        for name, im in zip(gi.loc_H.varnames, back.images):
-            # identity up to the inversion relations of the localization
-            diff = dict(im)
-            one = gi.loc_H.var(name)
-            for m, c in one.items():
-                diff[m] = (diff.get(m, 0) - c) % 2
-                if not diff[m]:
-                    diff.pop(m)
-            Z = HomogeneousIdeal(gi.loc_H, [], check=False)
-            assert Z.member(diff)
 
 
 # frozen closure transport values over the Klein four-group; H keys are
