@@ -40,6 +40,10 @@ EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
+# --prime is refused from here on: trial division then stops by 46,341, and
+# the product of two residues stays exact in int64
+PRIME_BOUND = 1 << 31
+
 
 class CliParseError(ValueError):
     pass
@@ -144,6 +148,8 @@ def run(argv=None):
     args = ap.parse_args(argv)
 
     p = args.prime
+    if p >= PRIME_BOUND:
+        raise CliParseError(f"--prime {p} is too large: primes must be below 2^31")
     if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
         raise CliParseError(f"--prime {p} is not prime")
     if args.cap_order <= 0 or args.cap_rank <= 0:

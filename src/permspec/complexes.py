@@ -18,12 +18,11 @@ Conventions (fixed once, everything downstream is checked against them):
 """
 
 import functools
-import json
 
 import numpy as np
 
 from . import modp
-from .groups import FiniteGroup, ResourceError, quotient, subgroup_as_group
+from .groups import ResourceError, quotient, subgroup_as_group
 from .modp import two_prime
 
 # Entries of the largest dense matrix a tensor product may allocate (2^22
@@ -236,24 +235,6 @@ class PermComplex:
 
     def total_dim(self):
         return sum(self.dim(n) for n in self.degrees())
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "p": self.p,
-                "group_table": self.group.table.tolist(),
-                "modules": {str(n): gs.action.tolist() for n, gs in self.gsets.items()},
-                "differentials": {str(n): d.tolist() for n, d in self.diffs.items()},
-            }
-        )
-
-    @staticmethod
-    def from_json(text):
-        data = json.loads(text)
-        G = FiniteGroup(data["group_table"])
-        gsets = {int(n): GSet(G, a) for n, a in data["modules"].items()}
-        diffs = {int(n): np.array(d) for n, d in data["differentials"].items()}
-        return PermComplex(G, data["p"], gsets, diffs)
 
     def __repr__(self):
         ds = ", ".join(f"{n}:{self.dim(n)}" for n in self.degrees())

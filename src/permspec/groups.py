@@ -7,6 +7,7 @@ twice: as a numpy array for whole-table checks, and as Python rows for the
 scalar lookups of `mul`, `inv` and `conj`.
 """
 
+import collections
 import json
 import math
 
@@ -127,13 +128,6 @@ class FiniteGroup:
     def is_abelian(self):
         return np.array_equal(self.table, self.table.T)
 
-    def exponent(self):
-        e = 1
-        for a in range(self.order):
-            o = self.element_order(a)
-            e = e * o // _gcd(e, o)
-        return e
-
     def name_of(self, a):
         if self.names is not None:
             return self.names[a]
@@ -167,12 +161,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _join(rows, S, gens):
@@ -217,12 +205,6 @@ class Subgroup:
     def order(self):
         return len(self.elements)
 
-    def index(self):
-        return self.parent.order // self.order
-
-    def contains(self, x):
-        return x in set(self.elements)
-
     def contains_subgroup(self, other):
         return set(other.elements) <= set(self.elements)
 
@@ -234,11 +216,6 @@ class Subgroup:
     def conjugate(self, g):
         return Subgroup(
             self.parent, [self.parent.conj(a, g) for a in self.elements], check=False
-        )
-
-    def intersection(self, other):
-        return Subgroup(
-            self.parent, set(self.elements) & set(other.elements), check=False
         )
 
     def join(self, other):
@@ -267,34 +244,6 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup(order={self.order}, elements={self.elements})"
-
-
-class GroupHom:
-    """A homomorphism given by the image index of every source element."""
-
-    def __init__(self, source, target, mapping, check=True):
-        self.source = source
-        self.target = target
-        self.map = np.array(mapping, dtype=np.int64)
-        if check:
-            self._validate()
-
-    def _validate(self):
-        if len(self.map) != self.source.order:
-            raise GroupError("map must cover the source")
-        if self.map[0] != 0:
-            raise GroupError("map must preserve the identity")
-        t, m = self.source.table, self.map
-        if not np.array_equal(m[t], self.target.table[m][:, m]):
-            raise GroupError("not a homomorphism")
-
-    def __call__(self, x):
-        return int(self.map[x])
-
-    def kernel(self):
-        return Subgroup(
-            self.source, [x for x in range(self.source.order) if self.map[x] == 0]
-        )
 
 
 # -- constructors -------------------------------------------------------------
@@ -614,39 +563,24 @@ def subgroup_as_group(H):
     return FiniteGroup(table, names=names, check=False), embed
 
 
+# proj.map[g] is the coset of g and proj.reps[q] the least element of coset q
+Projection = collections.namedtuple("Projection", "map reps")
+
+
 def quotient(G, N):
     """Quotient group G/N with its projection.  N must be normal.
 
-    The projection keeps the least element of every coset as proj.reps."""
+    Cosets are numbered in the order of their least elements
+    (G.coset_minima), so the identity coset is 0."""
     if not N.is_normal():
         raise GroupError("quotient by a non-normal subgroup")
-    ns = set(N.elements)
-    coset_of = {}
-    cosets = []
-    for g in range(G.order):
-        if g in coset_of:
-            continue
-        cs = frozenset(G.mul(g, n) for n in ns)
-        for x in cs:
-            coset_of[x] = len(cosets)
-        cosets.append(cs)
-    # reorder: identity coset first, then by minimal element
-    order_key = sorted(range(len(cosets)), key=lambda i: (0 not in cosets[i], min(cosets[i])))
-    relabel = {old: new for new, old in enumerate(order_key)}
-    cosets = [cosets[old] for old in order_key]
-    proj_map = [relabel[coset_of[g]] for g in range(G.order)]
-    reps = [min(c) for c in cosets]
-    table = [
-        [proj_map[G.mul(reps[i], reps[j])] for j in range(len(cosets))]
-        for i in range(len(cosets))
-    ]
-    names = None
-    if G.names:
-        names = [G.name_of(r) + "N" for r in reps]
-    Q = FiniteGroup(table, names=names, check=False)
-    proj = GroupHom(G, Q, proj_map, check=False)
-    proj.reps = reps
-    return Q, proj
+    least = G.coset_minima(N.elements)
+    reps = sorted(set(least))
+    coset = {x: q for q, x in enumerate(reps)}
+    proj_map = [coset[x] for x in least]
+    table = [[proj_map[G.mul(a, b)] for b in reps] for a in reps]
+    names = [G.name_of(r) + "N" for r in reps] if G.names else None
+    return FiniteGroup(table, names=names, check=False), Projection(proj_map, reps)
 
 
 def weyl(G, H):

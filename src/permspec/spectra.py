@@ -22,11 +22,12 @@ one only for output.  Point j lies in the closure of point i exactly when
 [S_j, P_j] lies inside [S_i, P_i]; a family token is ordered by the zero
 subspace of its quadric, so no order is computed in a ring.  A skeleton
 keeps one set of successors per point.  For a general finite group G the
-skeleton is glued from the skeletons of the maximal elementary abelian
-p-sections, identifying the images of every maximal span of the section
-category (union-find on points).  Restriction along an injection iota of
-stratum quotients sends the generic point of V_A to that of V_iota(A), so
-transport along a section morphism, like fold, moves intervals.
+skeleton is glued from the named points and orders of the maximal
+elementary abelian p-sections, identifying the images of every maximal span
+of the section category (union-find on points).  Restriction along an
+injection iota of stratum quotients sends the generic point of V_A to that
+of V_iota(A), so transport along a section morphism, like fold, moves
+intervals.
 """
 
 import functools
@@ -278,7 +279,7 @@ def point_ideal(point, p):
     _, proj, spec = stratum_data(point.stratum.parent, point.stratum, p)
     if point.kind == KIND_FAMILY:
         return _token_ideal(spec)
-    return _subspace_ideal(spec, {int(proj.map[x]) for x in point.top})
+    return _subspace_ideal(spec, {proj.map[x] for x in point.top})
 
 
 # -- skeleton construction ------------------------------------------------------------
@@ -302,10 +303,7 @@ def skeleton(E, p, level="rational", cap_rank=DEFAULT_RANK_CAP):
     generics eta(S); "rational" adds the prime-field rational points and one
     family token per stratum of rank >= 2.
     """
-    return _skeleton_on(E, p, level, _named_points(E, p, level, cap_rank))
-
-
-def _skeleton_on(E, p, level, points):
+    points = _named_points(E, p, level, cap_rank)
     skel = SpectrumSkeleton(points, _specialization_order(E, p, points))
     skel.ambient, skel.p, skel.level = E, p, level
     return skel
@@ -333,29 +331,12 @@ def _named_points(E, p, level, cap_rank):
         for name, A in named:
             points.append(SpectrumPoint(
                 S, _kind_of(len(A), Q.order, p), f"{name}({slbl})",
-                tuple(x for x in range(E.order) if int(proj.map[x]) in A),
+                tuple(x for x in range(E.order) if proj.map[x] in A),
             ))
         if rational:
             points.append(SpectrumPoint(S, KIND_FAMILY, f"token({slbl})",
                                         tuple(range(E.order))))
     return points
-
-
-def _interval_order(points):
-    """Strict pairs (i, j) for every point i that is no family token.
-
-    Such a point is the generic point of the interval [S_i, P_i] (stratum,
-    top), and point j lies in its closure exactly when [S_j, P_j] lies
-    inside it: S_i <= S_j and P_j <= P_i.
-    """
-    low = [set(q.stratum.elements) for q in points]
-    top = [set(q.top) for q in points]
-    return {
-        (i, j)
-        for i, P in enumerate(points) if P.kind != KIND_FAMILY
-        for j in range(len(points))
-        if j != i and low[i] <= low[j] and top[j] <= top[i]
-    }
 
 
 def _token_zeros(E, p, token):
@@ -366,38 +347,47 @@ def _token_zeros(E, p, token):
     fs = [c.f for c in list(spec.coordinate.values())[:2]]
     return {
         x for x in range(E.order)
-        if not any(spec.ea.functional_on(f, int(proj.map[x])) for f in fs)
+        if not any(spec.ea.functional_on(f, proj.map[x]) for f in fs)
     }
 
 
 def _specialization_order(E, p, points):
     """Strict pairs (i, j): point j lies in the closure of point i.
 
-    Points other than family tokens are ordered by their intervals
-    (_interval_order).  token(S) is a quadric q in two coordinates of E/S,
-    spanning X, and L is the preimage of their common kernel.  On a stratum
-    S_j >= S whose coordinates F meet X in 0, that is S_j L = E, no relation
-    survives and the closure is the whole stratum; where they meet X in a
-    line, q times zm^2 leaves a nonzero constant and the closure misses the
-    stratum; where F holds X, q descends and cuts out the points [S_j, P_j]
-    inside [S, L] and token(S_j) if it has the same L, since the lex-first
-    coordinates are dual to the two least elements of E outside L.
+    A point i that is no family token is the generic point of the interval
+    [S_i, P_i] (stratum, top), and point j lies in its closure exactly when
+    [S_j, P_j] lies inside it: S_i <= S_j and P_j <= P_i.  token(S) is a
+    quadric q in two coordinates of E/S, spanning X, and L is the preimage
+    of their common kernel; its row reads every token by its zero subspace
+    [S_j, L_j].  On a stratum S_j >= S whose coordinates F meet X in 0, that
+    is S_j L = E, no relation survives and the closure is the whole stratum;
+    where they meet X in a line, q times zm^2 leaves a nonzero constant and
+    the closure misses the stratum; where F holds X, q descends and cuts out
+    the points [S_j, P_j] inside [S, L] and token(S_j) if it has the same L,
+    since the lex-first coordinates are dual to the two least elements of E
+    outside L.
     """
-    order = _interval_order(points)
     low = [set(q.stratum.elements) for q in points]
-    # the top of a token's zero subspace, [S, L]; of any other point, [S, P]
-    top = [
-        _token_zeros(E, p, q) if q.kind == KIND_FAMILY else set(q.top)
-        for q in points
+    top = [set(q.top) for q in points]
+    zeros = [
+        _token_zeros(E, p, q) if q.kind == KIND_FAMILY else top[j]
+        for j, q in enumerate(points)
     ]
+    order = set()
     for i, P in enumerate(points):
-        if P.kind == KIND_FAMILY:
-            # two tokens' L are equal when one holds the other: both have index p^2
+        if P.kind != KIND_FAMILY:
             order.update(
-                (i, j) for j in range(len(points))
+                (i, j) for j, T in enumerate(top)
+                if j != i and low[i] <= low[j] and T <= top[i]
+            )
+        else:
+            # two tokens' L are equal when one holds the other: both have
+            # index p^2
+            L = zeros[i]
+            order.update(
+                (i, j) for j, Z in enumerate(zeros)
                 if j != i and low[i] <= low[j] and (
-                    top[j] <= top[i]
-                    or len(low[j]) * len(top[i]) == len(low[j] & top[i]) * E.order)
+                    Z <= L or len(low[j]) * len(L) == len(low[j] & L) * E.order)
             )
     return order
 
@@ -408,8 +398,8 @@ def _specialization_order(E, p, points):
 class SectionPlatform:
     """A section (H, K) realized as an elementary abelian quotient group Q.
 
-    q_of sends each element of H to Q; points and their order (.skel) are
-    built on use.
+    q_of sends each element of H to Q; the named points of Q are built on
+    use, and glue orders them with _specialization_order.
     """
 
     def __init__(self, sec, p, level="rational", cap_rank=DEFAULT_RANK_CAP):
@@ -422,15 +412,11 @@ class SectionPlatform:
         index = {x: i for i, x in enumerate(embed)}
         Kin = Hgrp.subgroup(sorted(index[int(k)] for k in sec.K.elements))
         self.Q, proj = quotient(Hgrp, Kin)
-        self.q_of = {x: int(proj.map[i]) for i, x in enumerate(embed)}
+        self.q_of = {x: proj.map[i] for i, x in enumerate(embed)}
 
     @functools.cached_property
     def points(self):
         return _named_points(self.Q, self.p, self.level, self.cap_rank)
-
-    @functools.cached_property
-    def skel(self):
-        return _skeleton_on(self.Q, self.p, self.level, self.points)
 
 
 def transport_point(m, src_plat, tgt_plat, point):
@@ -513,9 +499,10 @@ def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP,
          cap_order=DEFAULT_ORDER_CAP):
     """Skeleton of the spectrum for a general finite group.
 
-    Takes one skeleton per maximal elementary abelian p-section and quotients
-    the disjoint union by the identifications coming from every maximal span
-    of the section category; the specialization order descends to the classes.
+    Takes the named points of every maximal elementary abelian p-section and
+    quotients the disjoint union by the identifications coming from every
+    maximal span of the section category; each section's specialization
+    order descends to the classes, and one skeleton is built on them.
     Every identification is made on the named points before any order is
     built, so a transport that leaves them fails early.
     """
@@ -554,7 +541,7 @@ def glue(G, p, level="rational", reduction="full", cap_rank=DEFAULT_RANK_CAP,
     classes, order = uf.collapse(
         (offsets[ci] + a, offsets[ci] + b)
         for ci, plat in enumerate(plats)
-        for (a, b) in plat.skel.order
+        for (a, b) in _specialization_order(plat.Q, p, plat.points)
     )
     points, provenance = [], {}
     # transports keep |P/S|, so a class with a very closed point has only such

@@ -340,7 +340,7 @@ def psi_hom(E, H, K, p):
         raise GroupError("psi_hom needs K <= H")
     src = local_ring(E, H, p)
     Q, proj = quotient(E, E.subgroup(list(K.elements)))
-    Hbar = Q.subgroup(sorted({int(proj.map[x]) for x in H.elements}))
+    Hbar = Q.subgroup(sorted({proj.map[x] for x in H.elements}))
     tgt = local_ring(Q, Hbar, p)
     ea = src.ea
 

@@ -23,7 +23,7 @@ from permspec.gradedrings import (
     pnormal,
     pscale,
 )
-from permspec.groups import FiniteGroup
+from permspec.groups import FiniteGroup, GroupError, Projection
 from permspec.spectra import (
     KIND_CUSTOM,
     KIND_FAMILY,
@@ -309,6 +309,26 @@ def relabelled(G, k=5):
         for b in range(n):
             table[sigma[a]][sigma[b]] = sigma[G.mul(a, b)]
     return FiniteGroup(table)
+
+
+def quotient_by_cosets(G, N):
+    """G/N and its projection from the cosets of N as sets: each coset is
+    gathered by multiplying, and the cosets are numbered by least element."""
+    if not N.is_normal():
+        raise GroupError("quotient by a non-normal subgroup")
+    coset_of, cosets = {}, []
+    for g in range(G.order):
+        if g not in coset_of:
+            cs = frozenset(G.mul(g, n) for n in N.elements)
+            coset_of.update((x, len(cosets)) for x in cs)
+            cosets.append(cs)
+    by_least = sorted(range(len(cosets)), key=lambda i: min(cosets[i]))
+    relabel = {old: new for new, old in enumerate(by_least)}
+    proj_map = [relabel[coset_of[g]] for g in range(G.order)]
+    reps = [min(cosets[old]) for old in by_least]
+    table = [[proj_map[G.mul(a, b)] for b in reps] for a in reps]
+    names = [G.name_of(r) + "N" for r in reps] if G.names else None
+    return FiniteGroup(table, names=names, check=False), Projection(proj_map, reps)
 
 
 def plain_buchberger(gens, order, p):

@@ -144,6 +144,18 @@ def test_prime_check_runs_to_the_square_root(capsys):
         assert code == EXIT_PARSE and "unknown verify suite" in err
 
 
+def test_prime_is_bounded_before_the_primality_check(capsys):
+    # 2^61 - 1 is prime, but trial division to its square root would take
+    # minutes; 2^31 - 1 is the largest prime accepted
+    for p, message in ((2305843009213693951, "below 2^31"),
+                       (2147483648, "below 2^31"),
+                       (2147483647, "unknown verify suite")):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", "nosuch", "--prime", str(p))
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_PARSE and message in err
+
+
 @pytest.mark.parametrize("spec, names", [
     ('{"kind":"table","table":5}', "table"),
     ('{"kind":"table"}', "table"),

@@ -101,15 +101,6 @@ def test_tensor_dual_dims():
     assert u.shift(3).dim(3) == u.dim(0)
 
 
-def test_serialization_roundtrip():
-    E, p = elementary_abelian(2, 2), 2
-    _, u = _all_units(E, p)[0]
-    v = PermComplex.from_json(u.to_json())
-    assert v.total_dim() == u.total_dim()
-    for n in u.diffs:
-        assert np.array_equal(v.diff(n), u.diff(n))
-
-
 def test_cone_of_identity_contractible():
     E, p = elementary_abelian(2, 2), 2
     _, u = _all_units(E, p)[0]

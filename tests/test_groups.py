@@ -28,6 +28,8 @@ from permspec.groups import (
     weyl,
 )
 
+from references import quotient_by_cosets, relabelled
+
 POOL = [
     ("C6", cyclic(6)),
     ("C8", cyclic(8)),
@@ -69,10 +71,34 @@ def test_quotient_and_weyl():
     Z = center(D8)
     Q, proj = quotient(D8, Z)
     assert Q.order == 4 and is_elementary_abelian(Q, 2)
-    assert proj.kernel().elements == Z.elements
+    assert tuple(x for x in range(D8.order) if proj.map[x] == 0) == Z.elements
     L = next(S for S in subgroups(D8) if S.order == 2 and not S.is_normal())
     _, W, _ = weyl(D8, L)
     assert W.order == 2
+
+
+QUOTIENT_GROUPS = [
+    ("D8", dihedral(8)),
+    ("Q8", quaternion()),
+    ("C4xC4", product(cyclic(4), cyclic(4))),
+    ("D8xC2", product(dihedral(8), cyclic(2))),
+]
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["own", "relabelled"])
+@pytest.mark.parametrize("name, G", QUOTIENT_GROUPS, ids=[n for n, _ in QUOTIENT_GROUPS])
+def test_quotient_matches_the_coset_reference(name, G, relabel):
+    # 11 is prime to |G| - 1 for orders 8 and 16
+    G = relabelled(G, 11) if relabel else G
+    normals = [N for N in subgroups(G) if N.is_normal()]
+    assert len(normals) > 2
+    for N in normals:
+        Q, proj = quotient(G, N)
+        Q_ref, proj_ref = quotient_by_cosets(G, N)
+        assert np.array_equal(Q.table, Q_ref.table)
+        assert Q.names == Q_ref.names
+        assert proj.map == proj_ref.map
+        assert proj.reps == proj_ref.reps
 
 
 def test_index_p_normals():

@@ -381,6 +381,25 @@ def test_rank3_strata_skeletons():
             assert closed == (skel.points[i].kind == KIND_VERY_CLOSED)
 
 
+@pytest.mark.parametrize(
+    "G", [dihedral(8), dihedral(16), quaternion(), product(cyclic(4), cyclic(4))],
+    ids=["D8", "D16", "Q8", "C4xC4"],
+)
+def test_glue_builds_one_skeleton(monkeypatch, G):
+    # each maximal section's order is collapsed as it is computed: only the
+    # glued skeleton is built
+    built = []
+
+    class Counted(SpectrumSkeleton):
+        def __init__(self, *args, **kwargs):
+            built.append(len(args[0]))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "SpectrumSkeleton", Counted)
+    glued = glue(G, 2)
+    assert built == [len(glued.points)]
+
+
 def test_transport_functoriality():
     # composing transports along a factorized morphism agrees with the
     # direct transport, for every point over every D8 morphism between
@@ -395,7 +414,7 @@ def test_transport_functoriality():
                 SectionPlatform(sec, p)
                 for sec in (leg.source, c.target, b.target, leg.target)
             )
-            for pt in src.skel.points:
+            for pt in src.points:
                 direct = transport_point(leg, src, tgt, pt)
                 stepped = transport_point(c, src, after_c, pt)
                 stepped = transport_point(b, after_c, after_b, stepped)
@@ -413,7 +432,7 @@ def test_transport_preserves_very_closed():
         ap = SectionPlatform(rel.apex, p)
         for leg in (rel.f1, rel.f2):
             fp = SectionPlatform(leg.target, p)
-            for pt in ap.skel.points:
+            for pt in ap.points:
                 img = transport_point(leg, ap, fp, pt)
                 if pt.kind == KIND_VERY_CLOSED:
                     assert img.kind == KIND_VERY_CLOSED
@@ -560,12 +579,14 @@ def test_move_ideal_carries_lines_forward():
 def test_interval_order_matches_the_rules_by_kind(p, r, level):
     E = elementary_abelian(p, r)
     points = spectra._named_points(E, p, level, r)
-    order = spectra._interval_order(points)
-    assert order == order_by_kind(E, p, points)
-    # family tokens are targets only: _specialization_order orders them by
+    # the rows of points other than family tokens, which are ordered by
     # their zero subspaces
     tokens = {j for j, pt in enumerate(points) if pt.kind == KIND_FAMILY}
-    assert not any(i in tokens for (i, _) in order)
+    order = {
+        (i, j) for (i, j) in spectra._specialization_order(E, p, points)
+        if i not in tokens
+    }
+    assert order == order_by_kind(E, p, points)
     assert (level == "rational") == any(j in tokens for (_, j) in order)
 
 
@@ -658,7 +679,8 @@ def test_token_rule_matches_the_recorded_closure_order(name):
     assert sum(pt.kind == KIND_FAMILY for pt in points) == ref["tokens"]
     got = sorted([points[i].label, points[j].label] for (i, j) in _token_pairs(E, p, points))
     assert got == ref["pairs"]
-    assert len(spectra._skeleton_on(E, p, "rational", points).edges()) == ref["edges"]
+    order = spectra._specialization_order(E, p, points)
+    assert len(SpectrumSkeleton(points, order).edges()) == ref["edges"]
 
 
 C4XC4 = product(cyclic(4), cyclic(4))
