@@ -115,13 +115,6 @@ class FiniteGroup:
             k >>= 1
         return r
 
-    def element_order(self, a):
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     def elements(self):
         return range(self.order)
 

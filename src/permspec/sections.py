@@ -277,6 +277,19 @@ class SectionCategory:
         h: y' -> y satisfies f_i o h == f_i' up to that identification; only
         the dominant spans survive, one per mutual-domination class, minus the
         class of the identity span on each maximal section.
+
+        Domination is a preorder, and swapping the legs keeps it:
+          - reflexive, by h = 1;
+          - transitive, by composing the witnesses h;
+          - a dominates b exactly when (y_a, f2, f1) dominates (y_b, f2, f1),
+            since h is tested against both legs alike.
+        So one sweep over the candidate spans finds the first span of each
+        maximal class: a candidate is dropped when a kept span dominates it,
+        and otherwise it replaces the kept spans it dominates.  When the feet
+        agree, a survivor is then dropped when its swap is equivalent to the
+        identity span or to an earlier survivor.  The swap test runs after the
+        sweep, never in it: a span dropped only for its swap must still
+        dominate the candidates that follow.
         """
         maxel = self.maxel()
         spans = []
@@ -301,49 +314,28 @@ class SectionCategory:
         return False
 
     def _maximal_spans(self, x1, x2, reduction="full"):
-        cands = []
+        dominates = self._dominates
+        maximal = []
         for y in self.objects():
             f1s = self.homs(y, x1, reduction)
             if not f1s:
                 continue
-            f2s = self.homs(y, x2, reduction)
-            for f1, f2 in itertools.product(f1s, f2s):
-                cands.append((y, f1, f2))
-        dominates = self._dominates
-        maximal = []
-        for c in cands:
-            if any(
-                d is not c and dominates(d, c) and not dominates(c, d)
-                for d in cands
-            ):
-                continue
-            maximal.append(c)
-        # one representative per mutual-domination class, allowing the swap
-        # symmetry when both feet agree
-        same_feet = x1 == x2
-        reps = []
+            for f1, f2 in itertools.product(f1s, self.homs(y, x2, reduction)):
+                c = (y, f1, f2)
+                if not any(dominates(m, c) for m in maximal):
+                    maximal = [m for m in maximal if not dominates(c, m)]
+                    maximal.append(c)
+        if x1 != x2:
+            return [SpanRelation(*c) for c in maximal]
+        # no two survivors are equivalent, and the identity span is its own
+        # swap, so only the swap of each survivor is compared
+        ident = self.identity(x1)
+        reps = [(x1, ident, ident)]
         for c in maximal:
-            dup = False
-            for r in reps:
-                if dominates(r, c) and dominates(c, r):
-                    dup = True
-                    break
-                if same_feet:
-                    cs = (c[0], c[2], c[1])
-                    if dominates(r, cs) and dominates(cs, r):
-                        dup = True
-                        break
-            if not dup:
+            cs = (c[0], c[2], c[1])
+            if not any(dominates(r, cs) and dominates(cs, r) for r in reps):
                 reps.append(c)
-        out = []
-        if same_feet:
-            ident = (x1, self.identity(x1), self.identity(x1))
-        for (y, f1, f2) in reps:
-            span = (y, f1, f2)
-            if same_feet and dominates(ident, span) and dominates(span, ident):
-                continue
-            out.append(SpanRelation(y, f1, f2))
-        return out
+        return [SpanRelation(*c) for c in reps[1:]]
 
     def identity(self, x):
         return SectionMorphism(x, x, 0, check=False)

@@ -297,6 +297,40 @@ def maxel_by_pairs(cat):
     return reps
 
 
+def maximal_spans_all_pairs(cat, x1, x2, reduction="full"):
+    """Maximal spans x1 <- y -> x2 in three passes: every candidate is tested
+    against every other for strict domination, the survivors are reduced to
+    one per mutual-domination class (and per swap when x1 == x2), and the
+    class of the identity span is dropped."""
+    cands = []
+    for y in cat.objects():
+        f1s = cat.homs(y, x1, reduction)
+        if not f1s:
+            continue
+        f2s = cat.homs(y, x2, reduction)
+        for f1, f2 in itertools.product(f1s, f2s):
+            cands.append((y, f1, f2))
+    dominates = cat._dominates
+
+    def equivalent(a, b):
+        return dominates(a, b) and dominates(b, a)
+
+    maximal = [
+        c for c in cands
+        if not any(d is not c and dominates(d, c) and not dominates(c, d) for d in cands)
+    ]
+    same_feet = x1 == x2
+    reps = []
+    for c in maximal:
+        cs = (c[0], c[2], c[1])
+        if not any(equivalent(r, c) or (same_feet and equivalent(r, cs)) for r in reps):
+            reps.append(c)
+    if same_feet:
+        ident = (x1, cat.identity(x1), cat.identity(x1))
+        reps = [c for c in reps if not equivalent(ident, c)]
+    return [sections.SpanRelation(*c) for c in reps]
+
+
 def relabelled(G, k=5):
     """G with element i > 0 renamed 1 + k(i - 1) mod (|G| - 1), for k prime to
     |G| - 1.  Its subgroups get other element tuples and its elementary

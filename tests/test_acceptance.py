@@ -333,6 +333,19 @@ def test_criterion_11_maximal_sections_at_p_2():
             assert time.monotonic() - t0 < 1, G.order
 
 
+def test_criterion_12_maximal_relations_at_p_2():
+    # (group, maximal relations): the groups of criterion 11, each
+    # SectionCategory(G, 2).maximal_relations() from a fresh category under 1 s
+    s5 = group_from_spec(
+        {"kind": "perm", "degree": 5, "generators": [[[0, 1]], [[0, 1, 2, 3, 4]]]})
+    cases = [(s5, 13), (dihedral(64), 32), (elementary_abelian(2, 4), 0)]
+    with _Budget(12, 3 * 1):
+        for G, relations in cases:
+            t0 = time.monotonic()
+            assert len(SectionCategory(G, 2).maximal_relations()) == relations, G.order
+            assert time.monotonic() - t0 < 1, G.order
+
+
 def _random_irreducible(rng, p, d):
     """Coefficients (low to high) of a random monic irreducible polynomial."""
 

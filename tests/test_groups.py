@@ -40,12 +40,20 @@ POOL = [
 ]
 
 
+def _element_order(G, a):
+    k, x = 1, a
+    while x != 0:
+        x = G.mul(x, a)
+        k += 1
+    return k
+
+
 def test_cayley_axioms():
     for name, G in POOL:
         for a in range(G.order):
             assert G.mul(a, G.inv(a)) == 0
             assert G.mul(0, a) == a == G.mul(a, 0)
-        assert G.element_order(0) == 1
+        assert _element_order(G, 0) == 1
 
 
 def test_subgroup_counts():
@@ -164,7 +172,7 @@ def test_group_properties(named, a, b, g):
     # associativity spot check and conjugation homomorphism
     assert G.mul(G.mul(a, b), g) == G.mul(a, G.mul(b, g))
     assert G.conj(G.mul(a, b), g) == G.mul(G.conj(a, g), G.conj(b, g))
-    assert G.element_order(a) == G.element_order(G.conj(a, g))
+    assert _element_order(G, a) == _element_order(G, G.conj(a, g))
 
 
 @settings(max_examples=100, deadline=None)

@@ -31,7 +31,12 @@ from permspec.sections import (
     morphism_condition,
 )
 
-from references import has_hom_by_elements, maxel_by_pairs, relabelled
+from references import (
+    has_hom_by_elements,
+    maxel_by_pairs,
+    maximal_spans_all_pairs,
+    relabelled,
+)
 
 
 # (group, p, object count, maximal classes, maximal relations)
@@ -473,6 +478,72 @@ def test_dominates_reference_sees_both_answers():
                 assert got is _ref_dominates(cat, big, small)
                 seen.add(got)
     assert seen == {True, False}
+
+
+def _swap(span):
+    return (span[0], span[2], span[1])
+
+
+def _precomposed(cat, data, span):
+    """A span that `span` dominates by construction: both legs precomposed
+    with one drawn morphism h: y' -> apex."""
+    y, f1, f2 = span
+    sources = [x for x in cat.objects() if cat.has_hom(x, y)]
+    h = data.draw(st.sampled_from(cat.homs(data.draw(st.sampled_from(sources)), y, "raw")))
+    return (h.source, h.compose(f1), h.compose(f2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(REFERENCE_CATEGORIES), st.data())
+def test_domination_is_a_preorder_the_swap_keeps(named, data):
+    """The facts the sweep of _maximal_spans rests on: domination of spans
+    with shared feet is reflexive and transitive, and swapping the legs of
+    both spans keeps the answer."""
+    _, cat = named
+    maxel = cat.maxel()
+    x1 = data.draw(st.sampled_from(maxel))
+    x2 = data.draw(st.sampled_from(maxel))
+    spans = _spans(cat, x1, x2)
+    assume(spans)
+    a, b, c = (data.draw(st.sampled_from(spans)) for _ in range(3))
+    dominates = cat._dominates
+    assert dominates(a, a)
+    if dominates(a, b) and dominates(b, c):
+        assert dominates(a, c)
+    assert dominates(_swap(a), _swap(b)) is dominates(a, b)
+    # a chain whose premises hold, so transitivity is tested every time
+    b = _precomposed(cat, data, a)
+    c = _precomposed(cat, data, b)
+    assert dominates(a, b) and dominates(b, c) and dominates(a, c)
+    assert dominates(_swap(a), _swap(c))
+
+
+def _relation_keys(relations):
+    return [
+        (r.apex.key(), r.f1.g, r.f1.target.key(), r.f2.g, r.f2.target.key())
+        for r in relations
+    ]
+
+
+@pytest.mark.parametrize(
+    "G, p, reduction",
+    [(G, p, "full") for _, G, p in REFERENCE_GROUPS + LARGER_GROUPS]
+    + [(quaternion(), 2, "raw"), (cyclic(8), 2, "raw")],
+    ids=[name for name, _, _ in REFERENCE_GROUPS + LARGER_GROUPS]
+    + ["Q8-raw", "C8-raw"],
+)
+def test_maximal_relations_match_the_all_pairs_reference(G, p, reduction):
+    """The sweep keeps the relations, witnesses and order of the three passes
+    that test every candidate span against every other."""
+    cat = SectionCategory(G, p)
+    maxel = cat.maxel()
+    want = [
+        r
+        for i, x1 in enumerate(maxel)
+        for x2 in maxel[i:]
+        for r in maximal_spans_all_pairs(cat, x1, x2, reduction)
+    ]
+    assert _relation_keys(cat.maximal_relations(reduction)) == _relation_keys(want)
 
 
 # -- glue depends on the group it is given, not on earlier calls ---------------------------

@@ -307,9 +307,9 @@ def test_q8_glue():
 
 
 def test_raw_reduction_agrees():
-    for G, p in ((cyclic(8), 2), (quaternion(), 2)):
-        a = glue(G, p, reduction="raw").to_json()
-        b = glue(G, p, reduction="full").to_json()
+    for G in (cyclic(8), quaternion(), dihedral(8), C4XC4, dihedral(16)):
+        a = glue(G, 2, reduction="raw").to_json()
+        b = glue(G, 2, reduction="full").to_json()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
