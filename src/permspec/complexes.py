@@ -306,17 +306,6 @@ class EquivariantChainMap:
             self.source, self.target, self.shift, comps, check=False
         )
 
-    def compose(self, earlier):
-        """self o earlier; shifts add."""
-        s = earlier.shift
-        comps = {}
-        for n in earlier.source.degrees():
-            m = modp.matmul(self.comp(n - s), earlier.comp(n), self.source.p)
-            comps[n] = m
-        return EquivariantChainMap(
-            earlier.source, self.target, self.shift + s, comps, check=False
-        )
-
     def tensor(self, other):
         """Koszul-signed tensor of maps; valid when other.shift is even or p=2."""
         p = self.source.p

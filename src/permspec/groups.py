@@ -589,6 +589,17 @@ def weyl(G, H):
     return N, W, proj
 
 
+def frattini(H, p):
+    """The elements of H^p [H, H], generated by the p-th powers and the
+    commutators of H: the Frattini subgroup when H is a p-group.  K <= H
+    contains it exactly when K is normal in H with H/K elementary abelian."""
+    G = H.parent
+    rows, inv, hs = G._rows, G.inv, H.elements
+    gens = {G.power(a, p) for a in hs}
+    gens.update(rows[rows[inv(a)][inv(b)]][rows[a][b]] for a in hs for b in hs)
+    return _join(rows, (0,), gens)
+
+
 def is_elementary_abelian(X, p):
     """True iff the group (or subgroup) is abelian of exponent dividing p."""
     if isinstance(X, Subgroup):

@@ -1,7 +1,8 @@
 """The category of elementary abelian p-sections of a finite group.
 
-Objects are pairs (H, K) of p-subgroups with K normal in H and H/K elementary
-abelian.  A morphism (H, K) -> (H', K') is a group element g with
+Objects are pairs (H, K) of p-subgroups with Phi(H) = H^p [H, H] <= K <= H,
+that is K normal in H with H/K elementary abelian (Burnside's basis
+theorem).  A morphism (H, K) -> (H', K') is a group element g with
 
     K' <= g^{-1} K g   and   g^{-1} H g <= H',
 
@@ -20,9 +21,9 @@ name each coset of K' by its least element; the group memoises both per
 subgroup.  Whether any morphism x -> y exists is read off the distinct
 conjugates of x alone, after a test on shapes: the shape of (H, K) is
 (|H|, |K|), and x -> y needs |H| <= |H'| and |K'| <= |K|.  A morphism
-between sections of one shape is a conjugation, so maximal sections and
-their classes follow from at most one hom test per ordered pair and the
-shapes.
+between sections of one shape is a conjugation, and conjugate sections are
+isomorphic, so maximal sections and the apexes of maximal spans are read
+from one list of conjugacy-class representatives.
 """
 
 import functools
@@ -31,13 +32,14 @@ import itertools
 from .groups import (
     DEFAULT_ORDER_CAP,
     GroupError,
+    frattini,
     p_rank_of_section,
     p_subgroups,
 )
 
 
 class SectionObject:
-    """A p-section (H, K): K normal in H with H/K elementary abelian."""
+    """A p-section (H, K): H a p-group and Phi(H) <= K <= H."""
 
     def __init__(self, H, K, p, check=True):
         self.H = H
@@ -47,11 +49,9 @@ class SectionObject:
         if check:
             if not H.contains_subgroup(K):
                 raise GroupError("K must be contained in H")
-            if not K.is_normal(H):
-                raise GroupError("K must be normal in H")
-            if not H.is_p_group(p) or not K.is_p_group(p):
+            if not H.is_p_group(p):
                 raise GroupError("section subgroups must be p-groups")
-            if not _section_elementary_abelian(H, K, p):
+            if not frattini(H, p) <= set(K.elements):
                 raise GroupError("H/K must be elementary abelian")
 
     @property
@@ -79,20 +79,6 @@ class SectionObject:
 
     def __repr__(self):
         return f"({self.H.order}|{self.K.order})@{self.H.elements}"
-
-
-def _section_elementary_abelian(H, K, p):
-    G = H.parent
-    ks = set(K.elements)
-    for a in H.elements:
-        if G.power(a, p) not in ks:
-            return False
-        for b in H.elements:
-            # commutator in K
-            comm = G.mul(G.inv(G.mul(b, a)), G.mul(a, b))
-            if comm not in ks:
-                return False
-    return True
 
 
 class SectionMorphism:
@@ -155,7 +141,6 @@ class SectionCategory:
         self.G = G
         self.p = p
         self.cap_order = cap_order
-        self._hom_cache = {}
 
     def objects(self):
         return self._objects
@@ -164,29 +149,32 @@ class SectionCategory:
     def _objects(self):
         out = []
         subs = p_subgroups(self.G, self.p, self.cap_order)
-        for H in subs:
-            for K in subs:
-                if not H.contains_subgroup(K):
-                    continue
-                if not K.is_normal(H):
-                    continue
-                if _section_elementary_abelian(H, K, self.p):
+        masks = [sum(1 << a for a in S.elements) for S in subs]
+        for H, h in zip(subs, masks):
+            phi = sum(1 << a for a in frattini(H, self.p))
+            for K, k in zip(subs, masks):
+                if not (phi & ~k or k & ~h):
                     out.append(SectionObject(H, K, self.p, check=False))
         return out
 
+    @functools.cached_property
+    def _classes(self):
+        """The first section of each G-conjugacy class, in object order."""
+        seen, reps = set(), []
+        for x in self.objects():
+            if x.conjugates[0] not in seen:
+                seen.update(x.conjugates)
+                reps.append(x)
+        return reps
+
     def homs(self, x, y, reduction="raw"):
         """Morphisms x -> y under the requested reduction."""
-        ck = (x.H.elements, x.K.elements, y.H.elements, y.K.elements, reduction)
-        hit = self._hom_cache.get(ck)
-        if hit is not None:
-            return hit
         raw = [
             SectionMorphism(x, y, g, check=False)
             for g in range(self.G.order)
             if morphism_condition(x, y, g)
         ]
         if reduction == "raw":
-            self._hom_cache[ck] = raw
             return raw
         if reduction == "full":
             seen, out = set(), []
@@ -195,7 +183,6 @@ class SectionCategory:
                 if k not in seen:
                     seen.add(k)
                     out.append(m)
-            self._hom_cache[ck] = out
             return out
         raise ValueError(f"unknown reduction {reduction!r}")
 
@@ -240,29 +227,24 @@ class SectionCategory:
         H^g = H' and K^g = K', so g is an isomorphism and g^-1 a morphism
         back.  Conversely x -> y and y -> x force equal shapes.  So x is not
         maximal exactly when x -> y for a y of another shape, and two maximal
-        sections are isomorphic exactly when they share a shape and x -> y;
-        a maximal x maps to no other shape, so x -> y alone decides.
-        Objects are scanned in order and the first of each class is kept.
+        sections are isomorphic exactly when they share a shape and x -> y.
+        As x -> y exactly when x -> y^g, only the first section of each
+        conjugacy class is a candidate or a target.
         """
         return self._maxel
 
     @functools.cached_property
     def _maxel(self):
-        objs = self.objects()
+        classes = self._classes
         has_hom = self.has_hom
-        maximal = [
-            x for x in objs
-            if not any(x.shape != y.shape and has_hom(x, y) for y in objs)
+        return [
+            x for x in classes
+            if not any(x.shape != y.shape and has_hom(x, y) for y in classes)
         ]
-        reps = []
-        for x in maximal:
-            if not any(has_hom(x, r) for r in reps):
-                reps.append(x)
-        return reps
 
-    def is_EI(self, limit=None):
+    def is_EI(self):
         """Every endomorphism is an isomorphism."""
-        for x in self.objects()[:limit]:
+        for x in self.objects():
             for m in self.homs(x, x):
                 if not m.is_iso():
                     return False
@@ -290,37 +272,45 @@ class SectionCategory:
         identity span or to an earlier survivor.  The swap test runs after the
         sweep, never in it: a span dropped only for its swap must still
         dominate the candidates that follow.
+
+        Only the first section y of each conjugacy class is an apex.  For
+        y' = y^g, later in object order, and c: y -> y' the conjugation by g,
+        the spans (y', f1, f2) and (y, c f1, c f2) dominate each other (by c
+        and its inverse), and the second is a candidate too: its legs have
+        the witnesses g f_i.g, or under `full` ones with the same induced
+        maps.  So no first span of a maximal class has apex y', and the sweep
+        keeps the same spans.
         """
         maxel = self.maxel()
+        legs = {
+            x: [self.homs(y, x, reduction) for y in self._classes] for x in maxel
+        }
         spans = []
         for i, x1 in enumerate(maxel):
             for x2 in maxel[i:]:
-                spans.extend(self._maximal_spans(x1, x2, reduction))
+                spans.extend(self._maximal_spans(x1, x2, legs[x1], legs[x2]))
         return spans
 
     def _dominates(self, big, small):
-        """The span `small` factors through `big` via some h: y_small ->
-        y_big; the witness of h.compose(f) is h.g f.g."""
+        """The span `small` factors through `big` via some h: y_small -> y_big,
+        the first g in G that fits; the witness of h.compose(f) is h.g f.g."""
         (yb, f1b, f2b), (ys, f1s, f2s) = big, small
         want1 = f1s.induced_map_key()
         want2 = f2s.induced_map_key()
         mul = self.G.mul
-        for h in self.homs(ys, yb, "raw"):
-            if (
-                induced_map(ys, f1b.target, mul(h.g, f1b.g)) == want1
-                and induced_map(ys, f2b.target, mul(h.g, f2b.g)) == want2
-            ):
-                return True
-        return False
+        return any(
+            morphism_condition(ys, yb, h)
+            and induced_map(ys, f1b.target, mul(h, f1b.g)) == want1
+            and induced_map(ys, f2b.target, mul(h, f2b.g)) == want2
+            for h in range(self.G.order)
+        )
 
-    def _maximal_spans(self, x1, x2, reduction="full"):
+    def _maximal_spans(self, x1, x2, legs1, legs2):
+        """Maximal spans x1 <- y -> x2, from the legs of each apex y."""
         dominates = self._dominates
         maximal = []
-        for y in self.objects():
-            f1s = self.homs(y, x1, reduction)
-            if not f1s:
-                continue
-            for f1, f2 in itertools.product(f1s, self.homs(y, x2, reduction)):
+        for y, f1s, f2s in zip(self._classes, legs1, legs2):
+            for f1, f2 in itertools.product(f1s, f2s):
                 c = (y, f1, f2)
                 if not any(dominates(m, c) for m in maximal):
                     maximal = [m for m in maximal if not dominates(c, m)]
@@ -348,10 +338,6 @@ class SpanRelation:
         self.apex = apex
         self.f1 = f1
         self.f2 = f2
-
-    @property
-    def feet(self):
-        return (self.f1.target, self.f2.target)
 
     def __repr__(self):
         return f"Span[{self.f1.target} <- {self.apex} -> {self.f2.target}]"

@@ -23,7 +23,7 @@ from permspec.gradedrings import (
     pnormal,
     pscale,
 )
-from permspec.groups import FiniteGroup, GroupError, Projection
+from permspec.groups import FiniteGroup, GroupError, Projection, p_subgroups
 from permspec.spectra import (
     KIND_CUSTOM,
     KIND_FAMILY,
@@ -295,6 +295,36 @@ def maxel_by_pairs(cat):
         if not any(hom(x, r) and hom(r, x) for r in reps):
             reps.append(x)
     return reps
+
+
+def is_section_by_loops(H, K, p):
+    """Whether (H, K) is an elementary abelian p-section, by the tests one at
+    a time: K <= H, K normal in H, both p-groups, and every p-th power and
+    commutator of H in K."""
+    if not H.contains_subgroup(K) or not K.is_normal(H):
+        return False
+    if not H.is_p_group(p) or not K.is_p_group(p):
+        return False
+    G, ks = H.parent, set(K.elements)
+    for a in H.elements:
+        if G.power(a, p) not in ks:
+            return False
+        for b in H.elements:
+            if G.mul(G.inv(G.mul(b, a)), G.mul(a, b)) not in ks:
+                return False
+    return True
+
+
+def sections_by_pairs(cat):
+    """The (H, K) keys of the sections of a category, from every pair of
+    p-subgroups in lattice order, H first."""
+    subs = p_subgroups(cat.G, cat.p, cat.cap_order)
+    return [
+        (H.elements, K.elements)
+        for H in subs
+        for K in subs
+        if is_section_by_loops(H, K, cat.p)
+    ]
 
 
 def maximal_spans_all_pairs(cat, x1, x2, reduction="full"):

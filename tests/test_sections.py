@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from permspec.groups import (
+    FiniteGroup,
     GroupError,
     cyclic,
     dihedral,
@@ -20,6 +21,7 @@ from permspec.groups import (
     p_subgroups,
     product,
     quaternion,
+    subgroups,
 )
 from permspec import sections
 from permspec.spectra import glue
@@ -33,9 +35,11 @@ from permspec.sections import (
 
 from references import (
     has_hom_by_elements,
+    is_section_by_loops,
     maxel_by_pairs,
     maximal_spans_all_pairs,
     relabelled,
+    sections_by_pairs,
 )
 
 
@@ -376,6 +380,103 @@ def test_maxel_matches_the_pairwise_reference(G, p):
     that tests both hom directions for every pair of objects."""
     cat = SectionCategory(G, p)
     assert [x.key() for x in cat.maxel()] == [x.key() for x in maxel_by_pairs(cat)]
+
+
+def _heisenberg(p):
+    """The upper unitriangular 3x3 matrices over F_p, (a, b, c) at index
+    a p^2 + b p + c with (a, b, c)(a', b', c') = (a + a', b + b', c + c' + ab').
+    For odd p it has exponent p, so its p-th powers alone generate 1 and its
+    commutators generate the centre."""
+    def index(a, b, c):
+        return (a % p) * p * p + (b % p) * p + c % p
+
+    elems = list(itertools.product(range(p), repeat=3))
+    return FiniteGroup([
+        [index(a + x, b + y, c + z + a * y) for x, y, z in elems] for a, b, c in elems
+    ])
+
+
+HEIS27 = _heisenberg(3)
+OBJECT_GROUPS = MAXEL_GROUPS + [("Heis27-p3", HEIS27, 3)]
+
+
+@pytest.mark.parametrize(
+    "G, p",
+    [(G, p) for _, G, p in OBJECT_GROUPS]
+    + [(_relabelled(G), p) for _, G, p in OBJECT_GROUPS],
+    ids=[name for name, _, _ in OBJECT_GROUPS]
+    + [f"{name}-relabelled" for name, _, _ in OBJECT_GROUPS],
+)
+def test_objects_match_the_pairwise_reference(G, p):
+    """Phi(H) <= K <= H keeps the sections, in the order, of the loop that
+    tests containment, normality and every p-th power and commutator for
+    every pair of p-subgroups."""
+    cat = SectionCategory(G, p)
+    assert [x.key() for x in cat.objects()] == sections_by_pairs(cat)
+
+
+def test_section_check_rejects_what_the_reference_rejects():
+    """On every pair of subgroups of D8, Q8 and S4 at p = 2, and of the
+    Heisenberg group of order 27 at p = 3, SectionObject raises GroupError
+    exactly when the one-test-at-a-time reference rejects the pair, and
+    rejections for each of its reasons occur."""
+    reasons = set()
+    for G, p in ((dihedral(8), 2), (quaternion(), 2), (S4, 2), (HEIS27, 3)):
+        subs = subgroups(G)
+        for H in subs:
+            for K in subs:
+                want = is_section_by_loops(H, K, p)
+                try:
+                    SectionObject(H, K, p)
+                    got = True
+                except GroupError:
+                    got = False
+                assert got is want, (G.order, H.elements, K.elements)
+                if not want and H.contains_subgroup(K):
+                    reasons.add(
+                        "not p" if not H.is_p_group(p)
+                        else "not normal" if not K.is_normal(H)
+                        else "a p-th power outside K"
+                        if any(G.power(a, p) not in K.elements for a in H.elements)
+                        else "only a commutator outside K"
+                    )
+    assert reasons == {
+        "not p", "not normal", "a p-th power outside K", "only a commutator outside K"
+    }
+
+
+def _conjugate_keys(cat, x):
+    return {
+        (x.H.conjugate(g).elements, x.K.conjugate(g).elements)
+        for g in range(cat.G.order)
+    }
+
+
+@pytest.mark.parametrize(
+    "G, p", [(G, p) for _, G, p in MAXEL_GROUPS], ids=[n for n, _, _ in MAXEL_GROUPS]
+)
+def test_classes_are_the_first_section_of_each_conjugacy_class(G, p):
+    """Checked with conjugate subgroups built element by element: every
+    section is conjugate to exactly one representative (so no two
+    representatives are conjugate), and each representative comes first
+    among the sections of its class."""
+    cat = SectionCategory(G, p)
+    index = {x.key(): i for i, x in enumerate(cat.objects())}
+    classes = [_conjugate_keys(cat, r) for r in cat._classes]
+    for x in cat.objects():
+        assert sum(x.key() in keys for keys in classes) == 1
+    for r, keys in zip(cat._classes, classes):
+        assert index[r.key()] == min(index[k] for k in keys)
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in LARGER_GROUPS])
+def test_classes_are_fewer_than_the_sections(name):
+    """Some sections of these groups are conjugate, so the apexes of
+    test_maximal_relations_match_the_all_pairs_reference, whose reference
+    takes every section as an apex, are a proper subset there."""
+    G, p = next((G, p) for n, G, p in LARGER_GROUPS if n == name)
+    cat = SectionCategory(G, p)
+    assert len(cat._classes) < len(cat.objects())
 
 
 HOM_CATEGORIES = REFERENCE_CATEGORIES + [
