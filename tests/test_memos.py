@@ -8,17 +8,19 @@ import importlib
 import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import permspec
-from permspec import gradedrings
-from permspec.complexes import hom_dim
+from permspec import gradedrings, modp
+from permspec.complexes import build_u, coevaluation, cone, hom_dim, is_contractible
 from permspec.gradedrings import (
     GradedPresentation, HomogeneousIdeal, buchberger, count_standard_monomials,
 )
-from permspec.groups import elementary_abelian
+from permspec.groups import cyclic, elementary_abelian
 from permspec.spectra import _token_ideal, skeleton
 from permspec.twisted import closure_ideal, local_ring, present_Rtotal
+from permspec.verify import verify_units
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "permspec"
 
@@ -79,6 +81,7 @@ def test_cache_clear_empties_every_memo(monkeypatch):
         "permspec.spectra._stratum_data", "permspec.complexes._invariant_profile",
         "permspec.complexes._tensor_prefix", "permspec.complexes._u_pi",
         "permspec.gradedrings._reduced_basis", "permspec.gradedrings._shift_histogram",
+        "permspec.modp._solve",
     }
     # fresh memos for this test only: the warm ones come back afterwards
     fresh = []
@@ -95,6 +98,8 @@ def test_cache_clear_empties_every_memo(monkeypatch):
     closure_ideal(E, E.subgroup([0, 1]), token, 2)
     assert hom_dim(E, 2, [(0, 1, 0, 1)], -1) == 1
     assert count_standard_monomials(present_Rtotal(E, 2), 0, (1, 0, 0)) == 1
+    # the oracle's orbit system for a unit of C2 fills the solve memo
+    assert is_contractible(cone(coevaluation(build_u(cyclic(2), 2, [0, 1]))))
     for name, memo in fresh:
         assert memo.cache_info().currsize > 0, name
         memo.cache_clear()
@@ -179,3 +184,59 @@ def test_equal_presentations_share_one_histogram_entry(monkeypatch):
     assert info.currsize == info.misses == 1
     count_standard_monomials(second, 0, (3,))
     assert memo.cache_info().currsize == 2
+
+
+@pytest.fixture
+def fresh_solve(monkeypatch):
+    """An empty `modp._solve` memo for one test."""
+    memo = functools.cache(modp._solve.__wrapped__)
+    monkeypatch.setattr(modp, "_solve", memo)
+    return memo
+
+
+def test_equal_bytes_at_two_primes_are_two_solve_entries(fresh_solve):
+    A, b = [[1, 1], [0, 1]], [1, 1]
+    assert list(modp.solve(A, b, 2)) == [0, 1]
+    assert list(modp.solve(A, b, 3)) == [0, 1]
+    assert fresh_solve.cache_info().currsize == 2
+
+
+def test_shape_is_part_of_the_solve_key(fresh_solve):
+    # both matrices are the bytes 1 0 0 1
+    assert list(modp.solve([[1, 0, 0, 1]], [1], 2)) == [1, 0, 0, 0]
+    assert list(modp.solve([[1, 0], [0, 1]], [1, 1], 2)) == [1, 1]
+    assert fresh_solve.cache_info().currsize == 2
+
+
+def test_solve_key_keeps_residues_past_255(fresh_solve):
+    # 256 = -1 mod 257 would read as 0 in one byte
+    assert list(modp.solve([[1]], [256], 257)) == [256]
+    assert list(modp.solve([[1]], [0], 257)) == [0]
+    assert fresh_solve.cache_info().currsize == 2
+
+
+def test_mutating_a_solution_leaves_the_memo_intact(fresh_solve):
+    A, b = [[1, 2], [0, 1]], [2, 1]
+    x = modp.solve(A, b, 3)
+    expected = x.copy()
+    x[:] = 0
+    assert np.array_equal(modp.solve(A, b, 3), expected)
+    assert fresh_solve.cache_info().hits == 1
+
+
+def test_verify_units_solves_the_repeated_orbit_system_once(monkeypatch):
+    """The unit of C3 and its four inflations to C3xC3 give one orbit system
+    at p = 3 with 232 rows."""
+    misses = []
+    inner = modp._solve.__wrapped__
+    memo = functools.cache(
+        lambda p, shape, *key: misses.append((p, shape)) or inner(p, shape, *key))
+    monkeypatch.setattr(modp, "_solve", memo)
+    calls = []
+    solve = modp.solve
+    monkeypatch.setattr(modp, "solve",
+                        lambda A, b, p: calls.append((p, A.shape)) or solve(A, b, p))
+    assert verify_units()[0]
+    big = [key for key in calls if key[0] == 3 and key[1][0] == 232]
+    assert len(big) == 5 and len(set(big)) == 1
+    assert misses.count(big[0]) == 1

@@ -167,3 +167,72 @@ def test_rref_extreme_entries_near_int16_threshold(p):
     R0, pivots0, r0 = _reference_rref(A, p)
     assert R.dtype == np.int64
     assert np.array_equal(R, R0) and pivots == pivots0 and r == r0
+
+
+# -- input checks shared by every entry point -----------------------------------------
+
+
+def test_rank_accepts_array_likes():
+    assert modp.rank([[1, 0], [0, 1]], 3) == 2
+    assert modp.rank([[1, 1], [2, 2]], 3) == 1
+
+
+def test_nullspace_rejects_a_1d_input():
+    with pytest.raises(ValueError, match="need a 2d array"):
+        modp.nullspace([1, 0, 1], 2)
+
+
+def test_solve_rejects_a_right_hand_side_of_another_length():
+    with pytest.raises(ValueError, match=r"\(3,\).*\(2, 2\)"):
+        modp.solve([[1, 0], [0, 1]], [1, 0, 1], 3)
+
+
+# -- the F2 path on packed row bitsets against the row-loop references ---------------
+
+
+def _reference_solve(A, b, p):
+    A = np.array(A, dtype=np.int64) % p
+    ncols = A.shape[1]
+    R, pivots, _ = _reference_rref(np.column_stack([A, b]), p)
+    if ncols in pivots:
+        return None
+    x = np.zeros(ncols, dtype=np.int64)
+    for i, c in enumerate(pivots):
+        x[c] = R[i, ncols]
+    return x
+
+
+@st.composite
+def f2_matrices(draw):
+    """F2 matrices with 0-70 rows and columns, across the 8- and 64-bit
+    boundaries of a packed row: random rows, zero rows, an identity block and
+    rows that repeat the sum of two earlier rows."""
+    nrows = draw(st.integers(0, 70))
+    ncols = draw(st.integers(0, 70))
+    A = np.zeros((nrows, ncols), dtype=np.int64)
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["random", "zero", "unit", "sum"]))
+        if kind == "random":
+            bits = draw(st.integers(0, (1 << ncols) - 1))
+            A[i] = [(bits >> c) & 1 for c in range(ncols)]
+        elif kind == "unit" and ncols:
+            A[i, i % ncols] = 1
+        elif kind == "sum" and i >= 2:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            A[i] = (A[j] + A[k]) % 2
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(f2_matrices(), st.data())
+def test_f2_rref_nullspace_and_solve_match_references(A, data):
+    R, pivots, r = modp.rref(A, 2)
+    R0, pivots0, r0 = _reference_rref(A, 2)
+    assert R.dtype == np.int64 and np.array_equal(R, R0)
+    assert pivots == pivots0 and r == r0
+    assert np.array_equal(modp.nullspace(A, 2), _reference_nullspace(A, 2))
+    b = np.array(data.draw(st.lists(st.integers(0, 1), min_size=A.shape[0],
+                                    max_size=A.shape[0])), dtype=np.int64)
+    x, x0 = modp.solve(A, b, 2), _reference_solve(A, b, 2)
+    assert (x is None) == (x0 is None)
+    assert x is None or np.array_equal(x, x0)
