@@ -12,14 +12,15 @@ outside the named points; --level strata glues such groups).
 
 import argparse
 import json
-import math
 import sys
 
 from .groups import (
     GroupError,
     ResourceError,
     group_from_spec,
+    is_prime,
     DEFAULT_ORDER_CAP,
+    PRIME_BOUND,
 )
 from .sections import SectionCategory
 from .spectra import (
@@ -39,10 +40,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
-
-# --prime is refused from here on: trial division then stops by 46,341, and
-# the product of two residues stays exact in int64
-PRIME_BOUND = 1 << 31
 
 
 class CliParseError(ValueError):
@@ -150,7 +147,7 @@ def run(argv=None):
     p = args.prime
     if p >= PRIME_BOUND:
         raise CliParseError(f"--prime {p} is too large: primes must be below 2^31")
-    if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+    if not is_prime(p):
         raise CliParseError(f"--prime {p} is not prime")
     if args.cap_order <= 0 or args.cap_rank <= 0:
         raise CliParseError("caps must be positive")

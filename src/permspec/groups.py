@@ -15,6 +15,10 @@ import numpy as np
 
 DEFAULT_ORDER_CAP = 128
 
+# primes are refused from here on: trial division then stops by 46,341, and
+# the product of two residues stays exact in int64
+PRIME_BOUND = 1 << 31
+
 
 class GroupError(ValueError):
     pass
@@ -266,15 +270,21 @@ def product(*groups):
     return FiniteGroup(table, names=names)
 
 
+def is_prime(p):
+    """Whether p is prime, by trial division up to its square root; callers
+    refuse p >= PRIME_BOUND first."""
+    return p >= 2 and not any(p % k == 0 for k in range(2, math.isqrt(p) + 1))
+
+
 def elementary_abelian(p, r):
-    if p < 2 or r < 0:
-        raise GroupError(f"elementary abelian groups need p >= 2 and rank >= 0, "
-                         f"not p={p}, rank={r}")
+    if r < 0 or not (p < PRIME_BOUND and is_prime(p)):
+        raise GroupError(f"elementary abelian groups need a prime p below 2^31 and "
+                         f"rank >= 0, not p={p}, rank={r}")
+    if r == 0:
+        return cyclic(1)
     G = cyclic(p)
     for _ in range(r - 1):
         G = product(G, cyclic(p))
-    if r == 0:
-        G = cyclic(1)
     return G
 
 

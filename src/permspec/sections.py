@@ -16,14 +16,17 @@ kernel-shrink (type c), an inclusion (type b) and a conjugation
 along.  Hom-sets can be reduced: `raw` keeps every witness element, `full`
 keeps one witness per induced map H -> H'/K'.
 
-The morphism test reads bitmasks of the conjugates S^g, and induced maps
-name each coset of K' by its least element; the group memoises both per
-subgroup.  Whether any morphism x -> y exists is read off the distinct
-conjugates of x alone, after a test on shapes: the shape of (H, K) is
-(|H|, |K|), and x -> y needs |H| <= |H'| and |K'| <= |K|.  A morphism
-between sections of one shape is a conjugation, and conjugate sections are
-isomorphic, so maximal sections and the apexes of maximal spans are read
-from one list of conjugacy-class representatives.
+The morphism test reads bitmasks of the conjugates H^g and K^g, kept on
+each section, and induced maps name each coset of K' by its least element;
+the group memoises both per subgroup.  Whether any morphism x -> y exists is
+read off the distinct conjugates of x alone, after a test on shapes: the
+shape of (H, K) is (|H|, |K|), and x -> y needs |H| <= |H'| and |K'| <= |K|.
+A morphism between sections of one shape is a conjugation, and conjugate
+sections are isomorphic, so maximal sections and the apexes of maximal spans
+are read from one list of conjugacy-class representatives.  Of these, only
+the Frattini sections (H, Phi(H)) can be maximal, and only they need to be
+tested as targets.  A domination test between spans first asks whether the
+apexes have any morphism at all, and only then looks for a witness.
 """
 
 import functools
@@ -65,11 +68,26 @@ class SectionObject:
         return p_rank_of_section(self.H, self.K, self.p)
 
     @functools.cached_property
+    def is_frattini(self):
+        """K = Phi(H).  `SectionCategory._objects` sets it from the Phi(H)
+        mask it already has; elsewhere Phi(H) is computed here."""
+        return self.K.order == len(frattini(self.H, self.p))
+
+    @functools.cached_property
+    def h_masks(self):
+        """The bitmask of H^g for every g in G; the first is H itself."""
+        return self.H.parent.conj_masks(self.H.elements)
+
+    @functools.cached_property
+    def k_masks(self):
+        """The bitmask of K^g for every g in G; the first is K itself."""
+        return self.H.parent.conj_masks(self.K.elements)
+
+    @functools.cached_property
     def conjugates(self):
         """The distinct pairs (mask of H^g, mask of K^g) over g in G, in the
         order of the first g giving each; the first is (H, K) itself."""
-        masks = self.H.parent.conj_masks
-        return tuple(dict.fromkeys(zip(masks(self.H.elements), masks(self.K.elements))))
+        return tuple(dict.fromkeys(zip(self.h_masks, self.k_masks)))
 
     def __eq__(self, other):
         return isinstance(other, SectionObject) and self.key() == other.key()
@@ -119,10 +137,9 @@ class SectionMorphism:
 
 def morphism_condition(x, y, g):
     """K' <= g^{-1} K g and g^{-1} H g <= H'."""
-    masks = x.H.parent.conj_masks
-    if masks(x.H.elements)[g] & ~masks(y.H.elements)[0]:
+    if x.h_masks[g] & ~y.h_masks[0]:
         return False
-    return not masks(y.K.elements)[0] & ~masks(x.K.elements)[g]
+    return not y.k_masks[0] & ~x.k_masks[g]
 
 
 def induced_map(x, y, g):
@@ -154,7 +171,9 @@ class SectionCategory:
             phi = sum(1 << a for a in frattini(H, self.p))
             for K, k in zip(subs, masks):
                 if not (phi & ~k or k & ~h):
-                    out.append(SectionObject(H, K, self.p, check=False))
+                    x = SectionObject(H, K, self.p, check=False)
+                    x.is_frattini = k == phi
+                    out.append(x)
         return out
 
     @functools.cached_property
@@ -230,12 +249,20 @@ class SectionCategory:
         sections are isomorphic exactly when they share a shape and x -> y.
         As x -> y exactly when x -> y^g, only the first section of each
         conjugacy class is a candidate or a target.
+
+        Of those, only the Frattini sections (H, Phi(H)) are compared:
+          - a candidate (H, K) with K != Phi(H) maps to (H, Phi(H)) by 1, and
+            the two shapes differ, so it is not maximal;
+          - a target y = (H', K') can be replaced by y' = (H', Phi(H')).  If
+            x -> y then x -> y' through y -> y' by 1.  If y' had x's shape,
+            x -> y' would be an isomorphism, so y -> x as well and y would
+            have x's shape too.
         """
         return self._maxel
 
     @functools.cached_property
     def _maxel(self):
-        classes = self._classes
+        classes = [x for x in self._classes if x.is_frattini]
         has_hom = self.has_hom
         return [
             x for x in classes
@@ -293,17 +320,24 @@ class SectionCategory:
 
     def _dominates(self, big, small):
         """The span `small` factors through `big` via some h: y_small -> y_big,
-        the first g in G that fits; the witness of h.compose(f) is h.g f.g."""
+        the first g in G that fits; the witness of h.compose(f) is h.g f.g.
+        When has_hom finds no morphism y_small -> y_big, no g is tried."""
         (yb, f1b, f2b), (ys, f1s, f2s) = big, small
-        want1 = f1s.induced_map_key()
-        want2 = f2s.induced_map_key()
-        mul = self.G.mul
-        return any(
-            morphism_condition(ys, yb, h)
-            and induced_map(ys, f1b.target, mul(h, f1b.g)) == want1
-            and induced_map(ys, f2b.target, mul(h, f2b.g)) == want2
-            for h in range(self.G.order)
-        )
+        if not self.has_hom(ys, yb):
+            return False
+        G = self.G
+        want1 = list(f1s.induced_map_key())
+        want2 = list(f2s.induced_map_key())
+        least1 = G.coset_minima(f1b.target.K.elements)
+        least2 = G.coset_minima(f2b.target.K.elements)
+        rows, mul, hs = G.conj_table(), G.mul, ys.H.elements
+        for h in range(G.order):
+            if morphism_condition(ys, yb, h):
+                row1, row2 = rows[mul(h, f1b.g)], rows[mul(h, f2b.g)]
+                if ([least1[row1[a]] for a in hs] == want1
+                        and [least2[row2[a]] for a in hs] == want2):
+                    return True
+        return False
 
     def _maximal_spans(self, x1, x2, legs1, legs2):
         """Maximal spans x1 <- y -> x2, from the legs of each apex y."""

@@ -346,6 +346,13 @@ def test_criterion_12_maximal_relations_at_p_2():
             assert time.monotonic() - t0 < 1, G.order
 
 
+def test_criterion_13_maximal_sections_of_c2_fifth():
+    # SectionCategory(C2^5, 2).maxel() from a fresh category, sections
+    # included: one class, under 0.5 s
+    with _Budget(13, 0.5):
+        assert len(SectionCategory(elementary_abelian(2, 5), 2).maxel()) == 1
+
+
 def _random_irreducible(rng, p, d):
     """Coefficients (low to high) of a random monic irreducible polynomial."""
 

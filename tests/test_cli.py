@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permspec import cli
 from permspec.cli import (
@@ -154,6 +157,39 @@ def test_prime_is_bounded_before_the_primality_check(capsys):
         code, _, err = run(capsys, "verify", "nosuch", "--prime", str(p))
         assert time.perf_counter() - start < 2.0
         assert code == EXIT_PARSE and message in err
+
+
+def test_elementary_abelian_shorthand_needs_a_prime(capsys):
+    # C4 x C4 and C6 are not elementary abelian; 2^61 - 1 is prime but above
+    # the bound, and is refused before any trial division
+    for spec in ("ea:4:2", "ea:6:1", "ea:2305843009213693951:0"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "maxel", "--group", spec)
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (EXIT_PARSE, "") and err.startswith("error:"), spec
+    code, out, _ = run(capsys, "maxel", "--group", "ea:3:0")
+    assert code == EXIT_OK and out.startswith("1 maximal section class")
+
+
+def _is_prime_by_division(n):
+    return n >= 2 and all(n % k for k in range(2, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["ea", "cyclic", "dihedral"]),
+       st.integers(-3, 40), st.integers(-2, 6))
+def test_group_shorthands_exit_cleanly(kind, a, b):
+    """Small integer shorthands exit 0, 2 or 3 with no traceback; ea:p:r
+    exits 0 exactly when p is prime and p^r is within the order cap."""
+    spec = f"ea:{a}:{b}" if kind == "ea" else f"{kind}:{a}"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["maxel", "--group", spec, "--cap-order", "16"])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_RESOURCE), spec
+    assert (code == EXIT_OK) is (err.getvalue() == ""), spec
+    assert "Traceback" not in err.getvalue()
+    if kind == "ea":
+        assert (code == EXIT_OK) is (_is_prime_by_division(a) and b >= 0 and a ** b <= 16)
 
 
 @pytest.mark.parametrize("spec, names", [

@@ -401,7 +401,9 @@ def test_product_of_perm_factors_is_capped_before_the_product_table():
         group_from_spec({"kind": "product", "factors": [s3, s3]}, cap=30)
 
 
-@pytest.mark.parametrize("p, rank", [(2, -1), (3, -5), (1, 3), (0, 2)])
+@pytest.mark.parametrize(
+    "p, rank", [(2, -1), (3, -5), (1, 3), (0, 2), (4, 2), (6, 1), (9, 0)]
+)
 def test_elementary_abelian_needs_a_prime_and_a_rank(p, rank):
     with pytest.raises(GroupError, match="rank >= 0"):
         group_from_spec({"kind": "elementary_abelian", "p": p, "rank": rank})

@@ -17,6 +17,7 @@ from permspec.groups import (
     cyclic,
     dihedral,
     elementary_abelian,
+    frattini,
     from_permutations,
     p_subgroups,
     product,
@@ -382,6 +383,37 @@ def test_maxel_matches_the_pairwise_reference(G, p):
     assert [x.key() for x in cat.maxel()] == [x.key() for x in maxel_by_pairs(cat)]
 
 
+def _is_frattini(x):
+    return set(x.K.elements) == frattini(x.H, x.p)
+
+
+@pytest.mark.parametrize(
+    "G, p",
+    [(G, p) for _, G, p in MAXEL_GROUPS]
+    + [(_relabelled(G), p) for _, G, p in MAXEL_GROUPS]
+    + [(elementary_abelian(2, 5), 2)],
+    ids=[name for name, _, _ in MAXEL_GROUPS]
+    + [f"{name}-relabelled" for name, _, _ in MAXEL_GROUPS]
+    + ["C2^5"],
+)
+def test_maxel_compares_frattini_sections_only(G, p, monkeypatch):
+    """Every section records whether K = Phi(H), and maxel tests only pairs
+    of sections (H, Phi(H)), so each section it returns is one."""
+    cat = SectionCategory(G, p)
+    assert all(x.is_frattini is _is_frattini(x) for x in cat.objects())
+    pairs = []
+    has_hom = cat.has_hom
+
+    def recording(x, y):
+        pairs.append((x, y))
+        return has_hom(x, y)
+
+    monkeypatch.setattr(cat, "has_hom", recording)
+    maxel = cat.maxel()
+    assert maxel and all(_is_frattini(x) for x in maxel)
+    assert all(_is_frattini(x) and _is_frattini(y) for x, y in pairs)
+
+
 def _heisenberg(p):
     """The upper unitriangular 3x3 matrices over F_p, (a, b, c) at index
     a p^2 + b p + c with (a, b, c)(a', b', c') = (a + a', b + b', c + c' + ab').
@@ -528,6 +560,34 @@ def test_conjugates_are_distinct_and_start_at_the_section():
         assert x.shape == (x.H.order, x.K.order)
 
 
+def _mask(S):
+    return sum(1 << a for a in S.elements)
+
+
+def _assert_masks_kept(x):
+    G = x.group
+    assert x.h_masks == G.conj_masks(x.H.elements)
+    assert x.k_masks == G.conj_masks(x.K.elements)
+    assert x.h_masks == [_mask(x.H.conjugate(g)) for g in range(G.order)]
+    assert x.k_masks == [_mask(x.K.conjugate(g)) for g in range(G.order)]
+    assert x.conjugates == tuple(dict.fromkeys(zip(x.h_masks, x.k_masks)))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in REFERENCE_CATEGORIES])
+def test_sections_keep_the_conjugate_masks_of_H_and_K(name):
+    """The mask lists morphism_condition reads are those of H^g and K^g, on
+    the category's objects and on the sections factorize builds."""
+    cat = dict(REFERENCE_CATEGORIES)[name]
+    objs = cat.objects()
+    for x in objs:
+        _assert_masks_kept(x)
+    for x, y in itertools.islice(itertools.product(objs, objs), 0, None, 7):
+        for m in cat.homs(x, y, "raw")[:2]:
+            for f in cat.factorize(m):
+                _assert_masks_kept(f.source)
+                _assert_masks_kept(f.target)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(REFERENCE_CATEGORIES), st.data())
 def test_induced_map_matches_set_reference(named, data):
@@ -579,6 +639,37 @@ def test_dominates_reference_sees_both_answers():
                 assert got is _ref_dominates(cat, big, small)
                 seen.add(got)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in REFERENCE_CATEGORIES])
+def test_dominates_rejects_on_has_hom_before_the_element_loop(name, monkeypatch):
+    """When no morphism joins the apexes, _dominates is False and tests no
+    element; such pairs occur in every reference category."""
+    cat = dict(REFERENCE_CATEGORIES)[name]
+    calls = []
+    condition = sections.morphism_condition
+
+    def counting(x, y, g):
+        calls.append(g)
+        return condition(x, y, g)
+
+    monkeypatch.setattr(sections, "morphism_condition", counting)
+    rejected = 0
+    for x1, x2 in itertools.combinations_with_replacement(cat.maxel(), 2):
+        # one span per apex: the test reads the apexes alone
+        spans = []
+        for y in cat.objects():
+            f1s, f2s = cat.homs(y, x1, "raw"), cat.homs(y, x2, "raw")
+            if f1s and f2s:
+                spans.append((y, f1s[-1], f2s[0]))
+        for big in spans:
+            for small in spans:
+                if not cat.has_hom(small[0], big[0]):
+                    calls.clear()
+                    assert cat._dominates(big, small) is False
+                    assert calls == []
+                    rejected += 1
+    assert rejected
 
 
 def _swap(span):
