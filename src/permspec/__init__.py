@@ -3,7 +3,7 @@
 The pipeline, bottom to top:
 
 - ``modp``: exact linear algebra over F_p.
-- ``groups``: finite groups as Cayley tables, subgroup lattices, quotients.
+- ``groups``: finite groups as Cayley tables, p-subgroup lattices, quotients.
 - ``gradedrings``: graded-commutative presentations, Groebner bases, ideals.
 - ``complexes``: bounded complexes of permutation modules and the exact
   homotopy oracle (null-homotopy, contractibility, hom dimensions).

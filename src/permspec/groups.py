@@ -1,4 +1,4 @@
-"""Finite groups as Cayley tables, subgroup lattices and p-section machinery.
+"""Finite groups as Cayley tables, p-subgroup lattices and p-section machinery.
 
 Groups are immutable: an order x order multiplication table over element
 indices, with the identity at index 0.  At desk scale (|G| <= 128) the full
@@ -43,7 +43,7 @@ class FiniteGroup:
         self._conj_masks = {}
         self._coset_minima = {}
         self._digest = None
-        self._subgroups = None
+        self._p_subgroups = {}
         if check:
             self._validate()
         self._rows = self.table.tolist()
@@ -160,8 +160,9 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _join(rows, S, gens):
-    """The subgroup generated by gens, as a set, given a subgroup S inside it.
+def _join(rows, S, gens, bound=math.inf):
+    """The subgroup generated by gens, as a set, given a subgroup S inside it,
+    or None as soon as it has more than bound elements.
 
     It is grown as a union of cosets S*r from r = identity: whenever r times a
     generator falls outside the union, the coset of the product is added.
@@ -174,6 +175,8 @@ def _join(rows, S, gens):
             y = row[h]
             if y not in elems:
                 elems.update([rows[s][y] for s in S])
+                if len(elems) > bound:
+                    return None
                 reps.append(y)
     return elems
 
@@ -247,6 +250,8 @@ class Subgroup:
 
 
 def cyclic(n):
+    if n < 1:
+        raise GroupError(f"cyclic groups need n >= 1, not n={n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     names = [f"s^{i}" if i else "1" for i in range(n)]
     return FiniteGroup(table, names=names)
@@ -476,26 +481,30 @@ def _spec_int(spec, name):
 # -- lattice operations --------------------------------------------------------
 
 
-def subgroups(G, cap=DEFAULT_ORDER_CAP):
-    """All subgroups of G, sorted by (order, element tuple).
+def p_subgroups(G, p, cap=DEFAULT_ORDER_CAP):
+    """All p-subgroups of G, sorted by (order, element tuple).
 
-    The lattice is computed once per group and kept on it; every call checks
-    the cap and returns a new list.
+    The list is computed once per group and prime and kept on the group;
+    every call checks the cap and returns a new list.
     """
     _check_order(G.order, cap)
-    if G._subgroups is None:
-        G._subgroups = _lattice(G)
-    return list(G._subgroups)
+    if p not in G._p_subgroups:
+        G._p_subgroups[p] = _p_lattice(G, p)
+    return list(G._p_subgroups[p])
 
 
-def _lattice(G):
-    """Every subgroup is a join of cyclic subgroups, so the lattice is closed
-    by joining each subgroup found in the last pass with each cyclic subgroup
-    it does not contain."""
+def _p_lattice(G, p):
+    """A p-subgroup P is the join of the cyclic p-subgroups it contains, and
+    every join on the way lies in P, so the p-subgroups are closed by joining
+    each one found in the last pass with each cyclic p-subgroup it does not
+    contain, dropping a join once it outgrows the Sylow order."""
     rows = G._rows
+    sylow = math.gcd(G.order, p ** G.order.bit_length())  # the p-part of |G|
     cyclic = {}  # elements -> the least element generating them
     for a in range(G.order):
-        cyclic.setdefault(frozenset(_join(rows, (0,), (a,))), a)
+        C = _join(rows, (0,), (a,), sylow)
+        if C is not None and not sylow % len(C):
+            cyclic.setdefault(frozenset(C), a)
     gens_of = {S: (a,) for S, a in cyclic.items()}  # subgroup -> generators
     last = gens_of
     while last:
@@ -504,29 +513,16 @@ def _lattice(G):
             for a in cyclic.values():
                 if a in S:
                     continue
-                J = frozenset(_join(rows, S, gens + (a,)))
+                J = _join(rows, S, gens + (a,), sylow)
+                if J is None or sylow % len(J):
+                    continue
+                J = frozenset(J)
                 if J not in gens_of and J not in new:
                     new[J] = gens + (a,)
         gens_of.update(new)
         last = new
     found = sorted((tuple(sorted(S)) for S in gens_of), key=lambda e: (len(e), e))
     return [Subgroup(G, e, check=False) for e in found]
-
-
-def p_subgroups(G, p, cap=DEFAULT_ORDER_CAP):
-    return [H for H in subgroups(G, cap) if H.is_p_group(p)]
-
-
-def index_p_normals(G, p):
-    """The normal subgroups of index p, sorted by element sets."""
-    if G.order % p:
-        return []
-    out = [
-        H
-        for H in subgroups(G)
-        if H.order * p == G.order and H.is_normal()
-    ]
-    return sorted(out, key=lambda H: H.elements)
 
 
 def normalizer(G, H):

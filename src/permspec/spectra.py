@@ -43,7 +43,6 @@ from .groups import (
     p_subgroups,
     quotient,
     subgroup_as_group,
-    subgroups,
 )
 from .gradedrings import HomogeneousIdeal
 from .twisted import local_ring
@@ -319,7 +318,7 @@ def _named_points(E, p, level, cap_rank):
     points = []
     # the group was built under the caller's order cap and _check_rank_cap
     # bounds its lattice, so no second cap applies here
-    for S in sorted(subgroups(E, cap=E.order), key=lambda s: (s.order, s.elements)):
+    for S in p_subgroups(E, p, cap=E.order):
         Q, proj, spec = stratum_data(E, S, p)
         slbl = _sub_label(S)
         rational = spec.ea.rank >= 2 and level == "rational"

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from .groups import cyclic, elementary_abelian, quotient, subgroup_as_group, subgroups
+from .groups import cyclic, elementary_abelian, p_subgroups, quotient, subgroup_as_group
 from .complexes import (
     build_u,
     cone,
@@ -114,7 +114,7 @@ def verify_functors():
     E, p = elementary_abelian(2, 2), 2
     ea = EAStructure(E, p)
     ok, lines = True, []
-    proper = [S for S in subgroups(E) if 1 < S.order < E.order]
+    proper = [S for S in p_subgroups(E, p) if 1 < S.order < E.order]
     for c in coordinates(ea):
         N = c.kernel
         u = build_u(E, p, _pi_array(ea, c))

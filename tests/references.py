@@ -375,6 +375,37 @@ def relabelled(G, k=5):
     return FiniteGroup(table)
 
 
+def subgroups_by_pairs(G):
+    """Every subgroup of G as an element tuple, sorted by (order, elements):
+    the pairwise-join lattice, where every pass joins all pairs of subgroups
+    found so far, by closure under right multiplication from the identity."""
+
+    def generated(gens):
+        elems, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = G.mul(x, g)
+                if y not in elems:
+                    elems.add(y)
+                    frontier.append(y)
+        return tuple(sorted(elems))
+
+    found = {generated([a]) for a in range(G.order)}
+    while True:
+        new = set()
+        for ea, eb in itertools.combinations(sorted(found), 2):
+            if set(ea) <= set(eb) or set(eb) <= set(ea):
+                continue
+            j = generated(set(ea) | set(eb))
+            if j not in found:
+                new.add(j)
+        if not new:
+            break
+        found |= new
+    return sorted(found, key=lambda e: (len(e), e))
+
+
 def quotient_by_cosets(G, N):
     """G/N and its projection from the cosets of N as sets: each coset is
     gathered by multiplying, and the cosets are numbered by least element."""

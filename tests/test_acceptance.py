@@ -11,14 +11,15 @@ import time
 from collections import Counter
 
 from permspec.groups import (
+    FiniteGroup,
     cyclic,
     dihedral,
     elementary_abelian,
     from_permutations,
     group_from_spec,
+    p_subgroups,
     product,
     quaternion,
-    subgroups,
 )
 from permspec.gradedrings import GradedPresentation, GradedRingHom, HomogeneousIdeal
 from permspec.sections import SectionCategory, morphism_condition
@@ -281,7 +282,7 @@ def test_criterion_8_property_suites():
         E = elementary_abelian(2, 2)
         s1 = present_Rloc(E, E.trivial_subgroup(), 2)
         P = s1.presentation
-        proper = [S for S in subgroups(E) if 1 < S.order < E.order]
+        proper = [S for S in p_subgroups(E, 2) if 1 < S.order < E.order]
         for _ in range(20):
             coeffs = _random_irreducible(rng, 2, rng.choice([2, 2, 3, 3, 4]))
             poly = {}
@@ -351,6 +352,24 @@ def test_criterion_13_maximal_sections_of_c2_fifth():
     # included: one class, under 0.5 s
     with _Budget(13, 0.5):
         assert len(SectionCategory(elementary_abelian(2, 5), 2).maxel()) == 1
+
+
+def test_criterion_14_s6_without_the_full_lattice():
+    # S6 from a perm spec, built and checked outside the budget (seconds at
+    # order 720): its 51 3-subgroups and 631 2-subgroups under 1 s together,
+    # and glue(S6, 3) on a fresh copy of the table under 2 s
+    s6 = group_from_spec(
+        {"kind": "perm", "degree": 6, "generators": [[[0, 1]], [[0, 1, 2, 3, 4, 5]]]},
+        cap=720)
+    fresh = FiniteGroup(s6.table, check=False)
+    with _Budget(14, 3):
+        t0 = time.monotonic()
+        assert [len(p_subgroups(s6, p, cap=720)) for p in (3, 2)] == [51, 631]
+        assert time.monotonic() - t0 < 1
+        t0 = time.monotonic()
+        g = glue(fresh, 3, cap_order=720)
+        assert (len(g.points), len(g.edges())) == (10, 15)
+        assert time.monotonic() - t0 < 2
 
 
 def _random_irreducible(rng, p, d):

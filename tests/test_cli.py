@@ -171,6 +171,13 @@ def test_elementary_abelian_shorthand_needs_a_prime(capsys):
     assert code == EXIT_OK and out.startswith("1 maximal section class")
 
 
+def test_cyclic_of_nonpositive_order_names_n(capsys):
+    for spec in ("cyclic:0", "cyclic:-1", '{"kind":"cyclic","n":0}'):
+        code, out, err = run(capsys, "maxel", "--group", spec)
+        assert (code, out) == (EXIT_PARSE, ""), spec
+        assert err.startswith("error:") and "n=" in err and "square" not in err, spec
+
+
 def _is_prime_by_division(n):
     return n >= 2 and all(n % k for k in range(2, n))
 

@@ -15,8 +15,8 @@ from permspec.groups import (
     elementary_abelian,
     from_permutations,
     group_from_spec,
-    index_p_normals,
     is_elementary_abelian,
+    is_prime,
     normalizer,
     p_rank_of_section,
     p_subgroups,
@@ -24,11 +24,10 @@ from permspec.groups import (
     quaternion,
     quotient,
     subgroup_as_group,
-    subgroups,
     weyl,
 )
 
-from references import quotient_by_cosets, relabelled
+from references import quotient_by_cosets, relabelled, subgroups_by_pairs
 
 POOL = [
     ("C6", cyclic(6)),
@@ -57,10 +56,10 @@ def test_cayley_axioms():
 
 
 def test_subgroup_counts():
-    assert len(subgroups(elementary_abelian(2, 2))) == 5  # 1, three C2, E
-    assert len(subgroups(dihedral(8))) == 10
-    assert len(subgroups(quaternion())) == 6
-    assert len(subgroups(cyclic(8))) == 4
+    assert len(p_subgroups(elementary_abelian(2, 2), 2)) == 5  # 1, three C2, E
+    assert len(p_subgroups(dihedral(8), 2)) == 10
+    assert len(p_subgroups(quaternion(), 2)) == 6
+    assert len(p_subgroups(cyclic(8), 2)) == 4
 
 
 def test_center_and_normalizer():
@@ -70,7 +69,7 @@ def test_center_and_normalizer():
     Q8 = quaternion()
     assert center(Q8).order == 2
     # a reflection subgroup of D8 has normalizer of order 4
-    L = next(S for S in subgroups(D8) if S.order == 2 and not S.is_normal())
+    L = next(S for S in p_subgroups(D8, 2) if S.order == 2 and not S.is_normal())
     assert normalizer(D8, L).order == 4
 
 
@@ -80,7 +79,7 @@ def test_quotient_and_weyl():
     Q, proj = quotient(D8, Z)
     assert Q.order == 4 and is_elementary_abelian(Q, 2)
     assert tuple(x for x in range(D8.order) if proj.map[x] == 0) == Z.elements
-    L = next(S for S in subgroups(D8) if S.order == 2 and not S.is_normal())
+    L = next(S for S in p_subgroups(D8, 2) if S.order == 2 and not S.is_normal())
     _, W, _ = weyl(D8, L)
     assert W.order == 2
 
@@ -98,7 +97,7 @@ QUOTIENT_GROUPS = [
 def test_quotient_matches_the_coset_reference(name, G, relabel):
     # 11 is prime to |G| - 1 for orders 8 and 16
     G = relabelled(G, 11) if relabel else G
-    normals = [N for N in subgroups(G) if N.is_normal()]
+    normals = [N for N in p_subgroups(G, 2) if N.is_normal()]
     assert len(normals) > 2
     for N in normals:
         Q, proj = quotient(G, N)
@@ -109,15 +108,9 @@ def test_quotient_matches_the_coset_reference(name, G, relabel):
         assert proj.reps == proj_ref.reps
 
 
-def test_index_p_normals():
-    assert len(index_p_normals(elementary_abelian(2, 2), 2)) == 3
-    assert len(index_p_normals(elementary_abelian(3, 2), 3)) == 4
-    assert len(index_p_normals(dihedral(8), 2)) == 3
-
-
 def test_subgroup_as_group_embeds():
     D8 = dihedral(8)
-    for S in subgroups(D8):
+    for S in p_subgroups(D8, 2):
         H, embed = subgroup_as_group(S)
         assert H.order == S.order
         for a in range(H.order):
@@ -127,7 +120,7 @@ def test_subgroup_as_group_embeds():
 
 def test_conjugacy():
     D8 = dihedral(8)
-    twos = [S for S in subgroups(D8) if S.order == 2 and not S.is_normal()]
+    twos = [S for S in p_subgroups(D8, 2) if S.order == 2 and not S.is_normal()]
     # the four reflections fall into two conjugacy classes of subgroups
     classes = []
     for S in twos:
@@ -180,7 +173,8 @@ def test_group_properties(named, a, b, g):
 def test_subgroup_conjugates(named, g):
     name, G = named
     g = g % G.order
-    for S in subgroups(G):
+    for e in subgroups_by_pairs(G):  # C6 is not a p-group
+        S = G.subgroup(e)
         T = S.conjugate(g)
         assert T.order == S.order
         assert T.conjugate(G.inv(g)).elements == S.elements
@@ -243,37 +237,6 @@ def test_equality_compares_digests(monkeypatch):
     assert klein != klein.table.tolist() and klein != None and klein != "klein"
 
 
-def _reference_subgroups(G):
-    """The pairwise-join lattice, kept as the reference for `subgroups`:
-    every pass joins all pairs of subgroups found so far, by closure under
-    right multiplication from the identity."""
-
-    def generated(gens):
-        elems, frontier = {0}, [0]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = G.mul(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    frontier.append(y)
-        return tuple(sorted(elems))
-
-    found = {generated([a]) for a in range(G.order)}
-    while True:
-        new = set()
-        for ea, eb in itertools.combinations(sorted(found), 2):
-            if set(ea) <= set(eb) or set(eb) <= set(ea):
-                continue
-            j = generated(set(ea) | set(eb))
-            if j not in found:
-                new.add(j)
-        if not new:
-            break
-        found |= new
-    return sorted(found, key=lambda e: (len(e), e))
-
-
 def _shuffled(G, seed):
     perm = [0] + random.Random(seed).sample(range(1, G.order), G.order - 1)
     return _relabel(G, perm)
@@ -290,28 +253,105 @@ LATTICE_GROUPS = POOL + [
 ]
 
 
-@pytest.mark.parametrize("name", [name for name, _ in LATTICE_GROUPS])
+S3 = from_permutations(3, [[[0, 1]], [[0, 1, 2]]])
+S4 = from_permutations(4, [[[0, 1]], [[0, 1, 2, 3]]])
+S5 = from_permutations(5, [[[0, 1]], [[0, 1, 2, 3, 4]]])
+A5 = from_permutations(5, [[[0, 1, 2]], [[0, 1, 2, 3, 4]]])
+# GL(3,2), of order 168, on the seven nonzero vectors of F_2^3
+GL32 = from_permutations(7, [[[1, 5], [2, 6]], [[0, 5, 2, 6, 4, 3, 1]]], cap=168)
+
+# groups that are not p-groups, where the Sylow bound cuts joins short
+P_LATTICE_GROUPS = LATTICE_GROUPS + [
+    ("C3xS3", product(cyclic(3), S3)),
+    ("S4", S4),
+    ("S5", S5),
+    ("A5", A5),
+    ("C3xS3 relabelled", _shuffled(product(cyclic(3), S3), 3)),
+    ("S4 relabelled", _shuffled(S4, 4)),
+    ("A5 relabelled", _shuffled(A5, 5)),
+]
+
+
+def _is_p_power(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+@pytest.mark.parametrize("name", [name for name, _ in P_LATTICE_GROUPS])
 def test_lattice_matches_pairwise_reference(name):
-    G = dict(LATTICE_GROUPS)[name]
-    assert [S.elements for S in subgroups(G)] == _reference_subgroups(G)
+    """For every prime dividing |G|, the p-subgroups are the p-group members
+    of the full pairwise-join lattice, in its order."""
+    G = dict(P_LATTICE_GROUPS)[name]
+    lattice = subgroups_by_pairs(G)
+    primes = [p for p in range(2, G.order + 1) if G.order % p == 0 and is_prime(p)]
+    for p in primes:
+        want = [e for e in lattice if _is_p_power(len(e), p)]
+        assert [S.elements for S in p_subgroups(G, p)] == want
+
+
+def _permutation_group(degree, even=False):
+    """The symmetric group (alternating if even) on degree points as a table
+    over its permutations in lexicographic order, identity first, built with
+    numpy and not validated."""
+    perms = np.array([
+        q for q in itertools.permutations(range(degree))
+        if not even or sum(a > b for a, b in itertools.combinations(q, 2)) % 2 == 0
+    ])
+    n = len(perms)
+    weights = degree ** np.arange(degree)
+    index = np.zeros(degree ** degree, dtype=np.int64)
+    index[perms @ weights] = np.arange(n)
+    # the product of a and b sends i to a[b[i]], as in from_permutations
+    return FiniteGroup(index[perms[np.arange(n)[:, None, None], perms[None]] @ weights],
+                       check=False)
 
 
 def test_lattice_counts():
-    assert len(subgroups(elementary_abelian(2, 5))) == 374
-    assert len(subgroups(dihedral(32))) == 36
-    assert len(subgroups(product(cyclic(4), cyclic(4), cyclic(2)))) == 54
+    assert len(p_subgroups(elementary_abelian(2, 5), 2)) == 374
+    assert len(p_subgroups(dihedral(32), 2)) == 36
+    assert len(p_subgroups(product(cyclic(4), cyclic(4), cyclic(2)), 2)) == 54
+    # the counts the full lattice gave for groups that are not p-groups
+    S6 = _permutation_group(6)
+    assert (S6.order, len(p_subgroups(S6, 2, cap=720)), len(p_subgroups(S6, 3, cap=720))) \
+        == (720, 631, 51)
+    A6 = _permutation_group(6, even=True)
+    assert (A6.order, len(p_subgroups(A6, 2, cap=360))) == (360, 166)
+    assert len(p_subgroups(GL32, 2, cap=168)) == 78
 
 
-def test_lattice_is_memoised_per_group():
-    G = dihedral(16)
-    first, second = subgroups(G), subgroups(G)
-    assert first == second and first is not second
-    assert all(x is y for x, y in zip(first, second))  # one lattice, built once
-    first.clear()
-    second.append(G.full_subgroup())
-    assert [S.elements for S in subgroups(G)] == _reference_subgroups(G)
-    with pytest.raises(ResourceError):
-        subgroups(G, cap=G.order - 1)
+def test_p_subgroups_are_memoised_per_group_and_prime(monkeypatch):
+    import permspec.groups
+
+    G, twin = FiniteGroup(S4.table), FiniteGroup(S4.table)
+    assert G == twin  # equal tables, two group objects
+    built = {}
+    for H in (G, twin):
+        for p in (2, 3):
+            built[id(H), p] = p_subgroups(H, p)
+            assert all(S.parent is H for S in built[id(H), p])
+    # Subgroup equality compares parents by identity
+    assert built[id(G), 2] != built[id(twin), 2]
+    assert [S.elements for S in built[id(G), 2]] == [
+        S.elements for S in built[id(twin), 2]
+    ]
+
+    def enumerate_again(*args):
+        raise AssertionError("p-subgroups enumerated twice for one group and prime")
+
+    monkeypatch.setattr(permspec.groups, "_p_lattice", enumerate_again)
+    for H in (G, twin):
+        for p in (2, 3):
+            again = p_subgroups(H, p)
+            assert again == built[id(H), p] and again is not built[id(H), p]
+            assert all(x is y for x, y in zip(again, built[id(H), p]))
+            again.clear()  # the memo keeps its own list
+            assert len(p_subgroups(H, p)) == len(built[id(H), p])
+            # the cap is checked on every call, the memoised ones too
+            with pytest.raises(ResourceError):
+                p_subgroups(H, p, cap=H.order - 1)
+    with pytest.raises(ResourceError):  # and before any enumeration
+        p_subgroups(FiniteGroup(S4.table), 2, cap=S4.order - 1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -46,7 +46,6 @@ KEPT = {
     "map_c": "planned: the odd classes c_N of the odd-p Dirac presentation",
     "nullspace": "planned: relations as kernels in hom_dim's invariant-cycle spaces",
     "weyl": "planned: the Part I x Quillen point count of a glued skeleton",
-    "index_p_normals": "planned: the Part I x Quillen count and maximal relations",
     "res_hom": "checked against _ref_res_hom in test_induced.py",
     "center": "the Z(G) fixture of the group and section tests",
 }

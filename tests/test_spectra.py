@@ -17,8 +17,8 @@ from permspec.groups import (
     elementary_abelian,
     product,
     quaternion,
+    p_subgroups,
     quotient,
-    subgroups,
 )
 from permspec.sections import SectionCategory, SectionMorphism, SectionObject
 from permspec.spectra import (
@@ -468,11 +468,11 @@ def test_subspace_of_inverts_subspace_ideal(p, r):
     # the kind off |A| as the line search finds it from the ideal
     E = elementary_abelian(p, r)
     kinds = Counter()
-    for S in subgroups(E):
+    for S in p_subgroups(E, p):
         Q, _, spec = spectra.stratum_data(E, S, p)
         rank_w = spec.ea.rank
         ideals = set()
-        for A in subgroups(Q):
+        for A in p_subgroups(Q, p):
             ideal = spectra._subspace_ideal(spec, A.elements)
             ideals.add(ideal)
             rank_a = {p ** k: k for k in range(rank_w + 1)}[A.order]
@@ -487,7 +487,7 @@ def test_subspace_of_inverts_subspace_ideal(p, r):
             assert spectra._kind_of(A.order, Q.order, p) == want
             assert classify_by_line_search(spec, ideal) == want
             kinds[want] += 1
-        assert len(ideals) == len(subgroups(Q))
+        assert len(ideals) == len(p_subgroups(Q, p))
     # one A per Quillen stratum of each stratum quotient
     assert kinds == {
         (2, 3): {KIND_VERY_CLOSED: 16, KIND_STRATUM_GENERIC: 15,
@@ -504,10 +504,10 @@ def test_subspace_of_reads_lines(p, r):
     # ideal of no subgroup, and the line search finds them Custom
     E = elementary_abelian(p, r)
     lines = 0
-    for S in subgroups(E):
+    for S in p_subgroups(E, p):
         Q, _, spec = spectra.stratum_data(E, S, p)
         ea = spec.ea
-        subs = {A.elements for A in subgroups(Q)}
+        subs = {A.elements for A in p_subgroups(Q, p)}
         named = {spectra._subspace_ideal(spec, A) for A in subs}
         for _, line in spectra._lines(spec):
             assert len(line) == p and line in subs
@@ -556,12 +556,12 @@ def test_move_ideal_carries_lines_forward():
         assert got == spectra._subspace_ideal(spec, image)
         moved += image != line
     assert moved == 4
-    for S in subgroups(E):
+    for S in p_subgroups(E, p):
         if S.order != p:
             continue
         Q, proj, specQ = spectra.stratum_data(E, S, p)
         # a line L' apart from S maps onto Q; iota: Q -> E inverts that
-        L = next(T for T in subgroups(E) if T.order == p and T.elements != S.elements)
+        L = next(T for T in p_subgroups(E, p) if T.order == p and T.elements != S.elements)
         iota = [next(x for x in L.elements if proj.map[x] == q) for q in range(p)]
         zero = HomogeneousIdeal(specQ.presentation, [])
         got = move_ideal(zero, specQ, spec, iota)
@@ -628,7 +628,7 @@ def test_stratum_of_a_stratum_quotient_is_the_stratum_quotient(p, r, k):
     # iota between them, through least representatives, is the identity
     E = elementary_abelian(p, r)
     E = relabelled(E, k) if k else E
-    subs = subgroups(E)
+    subs = p_subgroups(E, p)
     for S_P in subs:
         Qp, projp = quotient(E, S_P)
         for S_Q in subs:
@@ -715,7 +715,7 @@ def test_transport_into_a_larger_stratum():
     # is no token
     E = elementary_abelian(2, 3)
     one = E.trivial_subgroup()
-    H = next(S for S in subgroups(E) if S.order == 4)
+    H = next(S for S in p_subgroups(E, 2) if S.order == 4)
     x, y = SectionObject(H, one, 2), SectionObject(E.full_subgroup(), one, 2)
     m = SectionMorphism(x, y, 0)
     src, tgt = SectionPlatform(x, 2), SectionPlatform(y, 2)

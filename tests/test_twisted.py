@@ -3,7 +3,7 @@ import functools
 import pytest
 
 from permspec import twisted
-from permspec.groups import elementary_abelian, subgroups
+from permspec.groups import elementary_abelian, p_subgroups
 from permspec.gradedrings import (
     GradedRingHom,
     HomogeneousIdeal,
@@ -59,11 +59,11 @@ def test_relabelled_tables_share_one_presentation_per_split(monkeypatch, p, r):
     E = elementary_abelian(p, r)
     by_split = {}
     for G in (E, relabelled(E)):
-        for H in subgroups(G):
+        for H in p_subgroups(G, p):
             spec = local_ring(G, H, p)
             by_split.setdefault(frozenset(spec.plus_of), []).append((H.elements, spec))
     # the kernels N >= H determine H, so each split is one subgroup per group
-    assert len(by_split) == len(subgroups(E))
+    assert len(by_split) == len(p_subgroups(E, p))
     for pairs in by_split.values():
         (tuple_e, spec_e), (tuple_r, spec_r) = pairs
         assert spec_e is not spec_r and spec_e.ea.group is not spec_r.ea.group
@@ -88,7 +88,7 @@ def test_klein_presentations():
         "zm_01*zm_10 + zm_01*zm_11 + zm_10*zm_11"
     ]
     # mixed stratum: one inverted generator, one three-term relation
-    for S in subgroups(E):
+    for S in p_subgroups(E, 2):
         if S.order != 2:
             continue
         sS = present_Rloc(E, S, 2)
@@ -171,7 +171,7 @@ def test_res_hom_scalars_p3():
         (0, 5, 7): {"zp_01": "zp_1", "zp_10": "2*zp_1", "zp_11": "0", "zp_12": "zp_1"},
     }
     seen = {}
-    for S in subgroups(E):
+    for S in p_subgroups(E, 3):
         if S.order != 3:
             continue
         hom = res_hom(S, E, E.trivial_subgroup(), 3)
@@ -186,7 +186,7 @@ def test_res_hom_scalars_p3():
 # subgroup element tuples
 def _klein_strata():
     E = elementary_abelian(2, 2)
-    order2 = {tuple(S.elements): S for S in subgroups(E) if S.order == 2}
+    order2 = {tuple(S.elements): S for S in p_subgroups(E, 2) if S.order == 2}
     return E, order2
 
 
