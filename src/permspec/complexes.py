@@ -108,6 +108,14 @@ def _product_action(X, Y):
     return act.reshape(X.group.order, -1)
 
 
+def _is_equivariant(m, src, tgt):
+    """P_tgt(g) m = m P_src(g) for every g, compared entrywise in one step:
+    m[g^{-1} y, x] = m[y, g x], with g^{-1} along the first axis."""
+    G = src.group
+    inv = [G.inv(g) for g in range(G.order)]
+    return np.array_equal(m[:, src.action].transpose(1, 0, 2), m[tgt.action[inv]])
+
+
 def trivial_gset(G, size=1):
     return GSet(G, np.tile(np.arange(size), (G.order, 1)))
 
@@ -143,14 +151,8 @@ class PermComplex:
             if d.shape != (self.dim(n - 1), self.dim(n)):
                 raise ComplexError(f"differential shape mismatch at degree {n}")
             # equivariance: P_{n-1}(g) d = d P_n(g)
-            src, tgt = self.gsets[n], self.gsets[n - 1]
-            for g in range(self.group.order):
-                gi = self.group.inv(g)
-                # P_g d = d P_g entrywise: d[g^{-1} y, x] = d[y, g x]
-                if not np.array_equal(
-                    d[:, src.action[g]], d[tgt.action[gi], :]
-                ):
-                    raise ComplexError(f"differential not equivariant at {n}")
+            if not _is_equivariant(d, self.gsets[n], self.gsets[n - 1]):
+                raise ComplexError(f"differential not equivariant at {n}")
             dd = self.diffs.get(n + 1)
             if dd is not None and (modp.matmul(d, dd, self.p)).any():
                 raise ComplexError(f"d^2 != 0 at degree {n + 1}")
@@ -180,11 +182,7 @@ class PermComplex:
 
     def tensor(self, other):
         assert self.group is other.group or self.group == other.group
-        p = self.p
-        degs = sorted({i + j for i in self.degrees() for j in other.degrees()})
-        blocks = {n: _block_offsets(self, other, n) for n in degs}
-        size = {n: sum(sz for _, sz in bl.values()) for n, bl in blocks.items()}
-        _check_dense((size[n - 1], size[n]) for n in degs if n - 1 in size)
+        blocks, size = _tensor_blocks(self, other)
         gsets = {
             n: GSet(self.group, np.concatenate([
                 _product_action(self.gsets[i], other.gsets[j]) + off
@@ -193,33 +191,15 @@ class PermComplex:
             for n, bl in blocks.items()
         }
         diffs = {}
-        for n in degs:
+        for n in blocks:
             if (n - 1) not in blocks:
                 continue
-            below = blocks[n - 1]
-            D = np.zeros((size[n - 1], size[n]), dtype=np.int64)
-            # the block (i, j) spans columns col + x*dj + y for x < ci and
-            # y < dj; d (x) 1 and 1 (x) d land in different row blocks
-            for (i, j), (col, _) in blocks[n].items():
-                ci, dj = self.dim(i), other.dim(j)
-                d = self.diffs.get(i)
-                if d is not None and (i - 1, j) in below:
-                    row = below[i - 1, j][0]
-                    a, b = np.nonzero(d)
-                    y = np.arange(dj)
-                    D[row + a[:, None] * dj + y, col + b[:, None] * dj + y] = \
-                        d[a, b][:, None]
-                d = other.diffs.get(j)
-                if d is not None and (i, j - 1) in below:
-                    row = below[i, j - 1][0]
-                    sign = 1 if i % 2 == 0 else p - 1
-                    a, b = np.nonzero(d)
-                    x = np.arange(ci)[:, None]
-                    D[row + x * other.dim(j - 1) + a, col + x * dj + b] = \
-                        (sign * d[a, b]) % p
-            if D.any():
+            rows, cols, vals = _tensor_entries(self, other, n)
+            if len(rows):
+                D = np.zeros((size[n - 1], size[n]), dtype=np.int64)
+                D[rows, cols] = vals
                 diffs[n] = D
-        return PermComplex(self.group, p, gsets, diffs, check=False)
+        return PermComplex(self.group, self.p, gsets, diffs, check=False)
 
     def dual(self):
         p = self.p
@@ -266,11 +246,8 @@ class EquivariantChainMap:
         for n, m in self.components.items():
             if m.shape != (self.target.dim(n - s), self.source.dim(n)):
                 raise ComplexError(f"component shape mismatch at degree {n}")
-            src, tgt = self.source.gsets[n], self.target.gsets[n - s]
-            for g in range(self.source.group.order):
-                gi = self.source.group.inv(g)
-                if not np.array_equal(m[:, src.action[g]], m[tgt.action[gi], :]):
-                    raise ComplexError(f"component not equivariant at {n}")
+            if not _is_equivariant(m, self.source.gsets[n], self.target.gsets[n - s]):
+                raise ComplexError(f"component not equivariant at {n}")
         sign = 1 if s % 2 == 0 else p - 1
         for n in self.source.degrees():
             lhs = (sign * modp.matmul(
@@ -346,6 +323,49 @@ def _block_offsets(C, D, n):
             out[(i, j)] = (pos, size)
             pos += size
     return out
+
+
+def _tensor_blocks(C, D):
+    """({n: _block_offsets(C, D, n)}, {n: dim of (C tensor D)_n}) over the
+    degrees of C tensor D, refusing first any differential over the dense cap."""
+    degs = sorted({i + j for i in C.degrees() for j in D.degrees()})
+    blocks = {n: _block_offsets(C, D, n) for n in degs}
+    size = {n: sum(sz for _, sz in bl.values()) for n, bl in blocks.items()}
+    _check_dense((size[n - 1], size[n]) for n in degs if n - 1 in size)
+    return blocks, size
+
+
+def _tensor_entries(C, D, n):
+    """(rows, cols, values) of the nonzero entries of the differential
+    d (x) 1 + (-1)^i 1 (x) d of C tensor D in degree n, each position once.
+
+    The block (i, j) spans columns col + x*dj + y for x < ci and y < dj;
+    d (x) 1 and 1 (x) d land in different row blocks."""
+    p = C.p
+    below = _block_offsets(C, D, n - 1)
+    rows, cols, vals = [], [], []
+    for (i, j), (col, _) in _block_offsets(C, D, n).items():
+        ci, dj = C.dim(i), D.dim(j)
+        d = C.diffs.get(i)
+        if d is not None and (i - 1, j) in below:
+            row = below[i - 1, j][0]
+            a, b = np.nonzero(d)
+            y = np.arange(dj)
+            rows.append((row + a[:, None] * dj + y).ravel())
+            cols.append((col + b[:, None] * dj + y).ravel())
+            vals.append(np.repeat(d[a, b], dj))
+        d = D.diffs.get(j)
+        if d is not None and (i, j - 1) in below:
+            row = below[i, j - 1][0]
+            sign = 1 if i % 2 == 0 else p - 1
+            a, b = np.nonzero(d)
+            x = np.arange(ci)[:, None]
+            rows.append((row + x * D.dim(j - 1) + a).ravel())
+            cols.append((col + x * dj + b).ravel())
+            vals.append(np.tile((sign * d[a, b]) % p, ci))
+    if not rows:
+        return (np.zeros(0, dtype=np.int64),) * 3
+    return tuple(np.concatenate(parts) for parts in (rows, cols, vals))
 
 
 def identity_map(C):
@@ -560,7 +580,9 @@ def hom_dim(G, p, coords, s):
     over it).  The orbit count and the rank in every degree are computed
     once per group, p and multiset of twists, which the tensor product
     depends on only up to isomorphism, and serve every shift s; twists
-    sharing a sorted prefix share its tensor product.
+    sharing a sorted prefix share its tensor product.  The product of the
+    whole twist is never made dense, but `MAX_DENSE_ENTRIES` still refuses
+    the shapes its dense differentials would have.
     """
     pis = tuple(sorted(tuple(int(v) % p for v in pi) for pi in coords))
     orbits, ranks = _invariant_profile(G, p, pis)
@@ -572,18 +594,37 @@ def hom_dim(G, p, coords, s):
 def _invariant_profile(G, p, pis):
     """({n: orbit count of T_n}, {n: rank of d_n on T^G}) for T = (x) u_pi.
 
-    T is the memoised product over the proper prefix pis[:-1] times one
-    more u.  T itself is not kept: a product stays in memory only while it
-    is a prefix of a longer twist, never for the longest ones."""
-    T = unit_complex(G, p)
+    T = C (x) D, with C the memoised dense product over the proper prefix
+    pis[:-1] and D the last u.  T itself is never made dense: each point's
+    orbit label (its least orbit-mate) comes from the product action of its
+    block, orbits are numbered in the order of their least points, and d's
+    orbit matrix adds up only the entries of `_tensor_entries` whose row is
+    an orbit representative.  `_check_dense` still refuses every shape that
+    `C.tensor(D)` would refuse."""
+    C = D = unit_complex(G, p)
     if pis:
-        T = _tensor_prefix(G, p, pis[:-1]).tensor(_u_pi(G, p, pis[-1]))
-    orbits = {n: len(np.unique(gs.orbit_label())) for n, gs in T.gsets.items()}
+        C, D = _tensor_prefix(G, p, pis[:-1]), _u_pi(G, p, pis[-1])
+    blocks, _ = _tensor_blocks(C, D)
+    label, orbit = {}, {}
+    for n, bl in blocks.items():
+        label[n] = np.concatenate([
+            _product_action(C.gsets[i], D.gsets[j]).min(axis=0) + off
+            for (i, j), (off, _) in bl.items()
+        ])
+        # orbit[x] numbers the orbit of a representative x (label[x] == x)
+        orbit[n] = np.cumsum(label[n] == np.arange(label[n].size)) - 1
+    orbits = {n: int(o[-1]) + 1 for n, o in orbit.items()}
     ranks = {}
-    for n, d in T.diffs.items():
-        reps = np.unique(T.gsets[n - 1].orbit_label())
-        order, starts = T.gsets[n].orbit_order()
-        sums = np.add.reduceat(d[reps][:, order], starts, axis=1) % p
+    for n in blocks:
+        if n - 1 not in blocks:
+            continue
+        rows, cols, vals = _tensor_entries(C, D, n)
+        if not rows.size:
+            continue
+        keep = label[n - 1][rows] == rows
+        sums = np.zeros((orbits[n - 1], orbits[n]), dtype=np.int64)
+        np.add.at(sums, (orbit[n - 1][rows[keep]],
+                         orbit[n][label[n][cols[keep]]]), vals[keep])
         ranks[n] = modp.rank(sums, p)
     return orbits, ranks
 
@@ -663,7 +704,9 @@ def master_relation_map(u1, u2, u3, lam3=1):
 
     The shifts involved are even (or p = 2), so every term targets this one
     complex T: a term's degree-0 vector is the Kronecker product of its
-    factors' vectors, placed at the block of the u-degrees they live in.
+    factors' vectors, placed at the block of the u-degrees they live in.  The
+    vector of a (`map_a`) is all ones in u-degree 0 and that of b (`map_b`)
+    all ones in u-degree 2', so each term adds its scalar on its whole block.
     """
     p, d = u1.p, two_prime(u1.p)
     s2, s3 = u2.shift(-d), u3.shift(-d)
@@ -671,15 +714,10 @@ def master_relation_map(u1, u2, u3, lam3=1):
     T = left.tensor(s3)
     outer = _block_offsets(left, s3, 0)
     vec = np.zeros(T.dim(0), dtype=np.int64)
-    for scalar, maps in ((1, (map_a, map_b, map_b)), (1, (map_b, map_a, map_b)),
-                         (lam3, (map_b, map_b, map_a))):
-        # a lives in u-degree 0, b in u-degree 2'
-        e1, e2, e3 = (0 if m is map_a else d for m in maps)
+    for scalar, (e1, e2, e3) in ((1, (0, d, d)), (1, (d, 0, d)), (lam3, (d, d, 0))):
         inner = _block_offsets(u1, s2, e1 + e2 - d)[e1, e2 - d][0]
         start = outer[e1 + e2 - d, e3 - d][0] + inner * u3.dim(e3)
-        v1, v2, v3 = (m(u).comp(0)[:, 0] for m, u in zip(maps, (u1, u2, u3)))
-        kron = np.kron(np.kron(v1, v2), v3)
-        vec[start:start + kron.size] += scalar * kron
+        vec[start:start + u1.dim(e1) * u2.dim(e2) * u3.dim(e3)] += scalar
     return EquivariantChainMap(
         unit_complex(u1.group, p), T, 0, {0: (vec % p).reshape(-1, 1)}
     )

@@ -49,19 +49,30 @@ class FiniteGroup:
         self._rows = self.table.tolist()
 
     def _validate(self):
+        """Check the table is a group: a Latin square with identity 0 that
+        is associative.
+
+        Associativity is Light's test on a generating set S (`_generators`):
+        every element is a product of elements of S, bracketed somehow.
+        Checking (x*s)*y == x*(s*y) for all x, y and each s in S is exact:
+        the elements m with (x*m)*y == x*(m*y) for all x, y include the
+        identity and are closed under products, since for two of them m, s
+        (x*(m*s))*y = ((x*m)*s)*y = (x*m)*(s*y) = x*(m*(s*y)) = x*((m*s)*y),
+        so they are every element.
+        """
         n = self.order
         t = self.table
         if t.shape != (n, n):
             raise GroupError("table must be square")
-        if not (np.all(t[0] == np.arange(n)) and np.all(t[:, 0] == np.arange(n))):
+        idx = np.arange(n)
+        if not (np.all(t[0] == idx) and np.all(t[:, 0] == idx)):
             raise GroupError("index 0 must be the identity")
-        for i in range(n):
-            if sorted(t[i]) != list(range(n)) or sorted(t[:, i]) != list(range(n)):
-                raise GroupError("table rows/columns must be permutations")
-        for a in range(n):
-            ta = t[a]
-            # (a*b)*c == a*(b*c) for all b, c, checked as whole rows
-            if not np.array_equal(t[ta], ta[t]):
+        if not (np.all(np.sort(t, axis=1) == idx)
+                and np.all(np.sort(t, axis=0) == idx[:, None])):
+            raise GroupError("table rows/columns must be permutations")
+        for s in _generators(t):
+            # (x*s)*y == x*(s*y) for all x, y, as one n x n gather per side
+            if not np.array_equal(t[t[:, s]], t[:, t[s]]):
                 raise GroupError("associativity fails")
 
     # -- basic arithmetic ----------------------------------------------------
@@ -179,6 +190,28 @@ def _join(rows, S, gens, bound=math.inf):
                     return None
                 reps.append(y)
     return elems
+
+
+def _generators(t):
+    """Elements S of the Latin square t, in index order, that generate it
+    under products: each is the least element that products of 0 and the
+    ones before it do not reach.  Each pass squares the reached set, so a
+    closure takes about log2 of the longest word it needs."""
+    reached = np.zeros(len(t), dtype=bool)
+    reached[0] = True
+    gens = []
+    for x in np.flatnonzero(~reached):
+        if reached[x]:
+            continue
+        gens.append(int(x))
+        reached[x] = True
+        while True:
+            have = np.flatnonzero(reached)
+            products = t[np.ix_(have, have)]
+            if reached[products].all():
+                break
+            reached[products] = True
+    return gens
 
 
 class Subgroup:

@@ -375,6 +375,13 @@ def relabelled(G, k=5):
     return FiniteGroup(table)
 
 
+def is_associative_by_rows(table):
+    """Whether a Latin square with identity 0 is associative, by the check
+    over all elements: (a*b)*c == a*(b*c) for every a, as whole rows."""
+    t = np.asarray(table)
+    return all(np.array_equal(t[t[a]], t[a][t]) for a in range(len(t)))
+
+
 def subgroups_by_pairs(G):
     """Every subgroup of G as an element tuple, sorted by (order, elements):
     the pairwise-join lattice, where every pass joins all pairs of subgroups

@@ -355,8 +355,8 @@ def test_criterion_13_maximal_sections_of_c2_fifth():
 
 
 def test_criterion_14_s6_without_the_full_lattice():
-    # S6 from a perm spec, built and checked outside the budget (seconds at
-    # order 720): its 51 3-subgroups and 631 2-subgroups under 1 s together,
+    # S6 from a perm spec, built and checked outside the budget (about a
+    # second at order 720): its 51 3-subgroups and 631 2-subgroups under 1 s together,
     # and glue(S6, 3) on a fresh copy of the table under 2 s
     s6 = group_from_spec(
         {"kind": "perm", "degree": 6, "generators": [[[0, 1]], [[0, 1, 2, 3, 4, 5]]]},
@@ -370,6 +370,17 @@ def test_criterion_14_s6_without_the_full_lattice():
         g = glue(fresh, 3, cap_order=720)
         assert (len(g.points), len(g.edges())) == (10, 15)
         assert time.monotonic() - t0 < 2
+
+
+def test_criterion_15_s6_table_check():
+    # the group-table check of S6 (order 720) tests associativity on a
+    # generating set only: under 0.5 s, where one n x n gather per element
+    # took 1-5 s
+    s6 = group_from_spec(
+        {"kind": "perm", "degree": 6, "generators": [[[0, 1]], [[0, 1, 2, 3, 4, 5]]]},
+        cap=720)
+    with _Budget(15, 0.5):
+        assert FiniteGroup(s6.table).order == 720
 
 
 def _random_irreducible(rng, p, d):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permspec import complexes, modp
-from permspec.groups import FiniteGroup, ResourceError, cyclic, elementary_abelian
+from permspec.groups import (
+    FiniteGroup,
+    ResourceError,
+    cyclic,
+    elementary_abelian,
+    subgroup_as_group,
+)
 from permspec.complexes import (
     ComplexError,
     EquivariantChainMap,
@@ -451,6 +457,42 @@ def test_hom_dim_matches_dense_reference(group, p, max_total, shifts):
                 (group, twist, s)
 
 
+def _reference_profile(G, p, pis):
+    """({n: orbit count}, {n: nonzero rank of d_n on invariants}) read from
+    the dense reference product of the u's in the given order."""
+    T = unit_complex(G, p)
+    for pi in pis:
+        T = _reference_tensor(T, build_u(G, p, pi))
+    orbits = {n: len(_reference_orbits(gs)) for n, gs in T.gsets.items()}
+    ranks = {}
+    for n in T.diffs:
+        image = modp.matmul(T.diff(n), _reference_invariant_vectors(T, n).T, p)
+        rank = modp.rank(image, p)
+        if rank:
+            ranks[n] = rank
+    return orbits, ranks
+
+
+@pytest.mark.parametrize("group, p, max_total", [
+    ("C2", 2, 6),
+    ("Klein", 2, 5),
+    ("C3", 3, 4),
+    ("C3xC3", 3, 3),
+    ("C2^3", 2, 3),
+])
+def test_invariant_profile_matches_dense_reference(group, p, max_total):
+    E = {"C2": cyclic(2), "C3": cyclic(3), "Klein": elementary_abelian(2, 2),
+         "C3xC3": elementary_abelian(3, 2), "C2^3": elementary_abelian(2, 3)}[group]
+    ea = EAStructure(E, p)
+    pis = sorted(tuple(int(v) % p for v in _pi(ea, c)) for c in coordinates(ea))
+    profile = complexes._invariant_profile.__wrapped__
+    for total in range(max_total + 1):
+        for twist in itertools.combinations_with_replacement(pis, total):
+            orbits, ranks = profile(E, p, twist)
+            got = orbits, {n: r for n, r in ranks.items() if r}
+            assert got == _reference_profile(E, p, twist), (group, twist)
+
+
 def _fresh_profile_memo(monkeypatch, build=None):
     """Give hom_dim an empty memo for this test only, so the module's warm
     memo is back for the tests after it."""
@@ -519,8 +561,8 @@ def test_hom_dim_memo_clear(monkeypatch):
 def test_invariant_profiles_share_tensor_prefixes(monkeypatch):
     """Over the Klein box of verify_hilbert (twists of total <= 4), each
     sorted proper prefix of a twist is tensored once, on its own prefix, and
-    each u once; a whole twist's product is kept only when it is itself a
-    proper prefix of another twist, so the 4-fold products are never kept."""
+    each u once; a whole twist's product is built only when it is itself a
+    proper prefix of another twist, so the 4-fold products are never built."""
     asked, built, tensors = [], [], []
     profile = complexes._invariant_profile.__wrapped__
     _fresh_profile_memo(
@@ -541,9 +583,9 @@ def test_invariant_profiles_share_tensor_prefixes(monkeypatch):
     assert sorted(built) == sorted(proper)  # each one built once
     assert set(built).isdisjoint(set(asked) - proper)
     assert units.cache_info().currsize == units.cache_info().misses == 3
-    # one tensor product per nonempty prefix and one per nonempty twist, where
-    # building every twist from the unit took one per factor
-    nonempty = [pis for _, pis in built + asked if pis]
+    # one tensor product per nonempty proper prefix and none for a whole
+    # twist, where building every twist from the unit took one per factor
+    nonempty = [pis for _, pis in built if pis]
     assert len(tensors) == len(nonempty) < sum(len(pis) for _, pis in asked)
 
 
@@ -560,6 +602,26 @@ def test_is_null_homotopic_rejects_non_equivariant_component():
     assert _reference_is_null_homotopic(f) == (False, None)
     with pytest.raises(ComplexError):
         is_null_homotopic(f)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_equivariance_is_checked_over_all_of_G(g):
+    # on the regular Klein G-set, the all-ones block on the subgroup {0, g}
+    # commutes with <g> but with no element outside it
+    E, p = elementary_abelian(2, 2), 2
+    H, embed = subgroup_as_group(E.subgroup([0, g]))
+    inside = np.isin(np.arange(4), [0, g])
+    m = np.outer(inside, inside).astype(np.int64)
+    regular = GSet(E, E.table)
+    on_H = GSet(H, E.table[np.asarray(embed)])
+    PermComplex(H, p, {1: on_H, 0: on_H}, {1: m})
+    with pytest.raises(ComplexError, match=r"^differential not equivariant at 1$"):
+        PermComplex(E, p, {1: regular, 0: regular}, {1: m})
+    C = PermComplex(H, p, {0: on_H}, {})
+    EquivariantChainMap(C, C, 0, {0: m})
+    C = PermComplex(E, p, {0: regular}, {})
+    with pytest.raises(ComplexError, match=r"^component not equivariant at 0$"):
+        EquivariantChainMap(C, C, 0, {0: m})
 
 
 def test_null_homotopy_witness_matches_full_rows():

@@ -27,7 +27,12 @@ from permspec.groups import (
     weyl,
 )
 
-from references import quotient_by_cosets, relabelled, subgroups_by_pairs
+from references import (
+    is_associative_by_rows,
+    quotient_by_cosets,
+    relabelled,
+    subgroups_by_pairs,
+)
 
 POOL = [
     ("C6", cyclic(6)),
@@ -394,6 +399,70 @@ def test_associativity_is_exact_at_order_128():
         FiniteGroup(t)
     with pytest.raises(GroupError, match="associativity"):
         group_from_spec({"kind": "table", "table": t.tolist()})
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square whose row 0 and column 0 are 0..n-1, that is
+    every loop on 0..n-1 with identity 0, filled cell by cell."""
+    t = [[max(r, c) if 0 in (r, c) else 0 for c in range(n)] for r in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield np.array(t)
+            return
+        r, c = cells[k]
+        used = set(t[r][:c]) | {t[i][c] for i in range(r)}
+        for v in range(n):
+            if v not in used:
+                t[r][c] = v
+                yield from fill(k + 1)
+
+    yield from fill(0)
+
+
+def _accepts(t):
+    """Whether FiniteGroup takes a Latin square with identity 0."""
+    try:
+        FiniteGroup(t)
+    except GroupError as e:
+        assert str(e) == "associativity fails"
+        return False
+    return True
+
+
+def test_associativity_check_matches_the_all_elements_check_on_every_small_loop():
+    # the groups among the loops of order <= 6 are the tables of C1..C6, C2^2
+    # and S3 relabelled with 0 fixed, one per automorphism class of labels;
+    # order 5 has 50 loops that are not groups, order 6 has 9,328
+    counts = {}
+    for n in range(1, 7):
+        verdicts = [(_accepts(t), is_associative_by_rows(t))
+                    for t in _reduced_latin_squares(n)]
+        assert all(new == old for new, old in verdicts), n
+        counts[n] = (sum(new for new, _ in verdicts), len(verdicts))
+    assert counts == {1: (1, 1), 2: (1, 1), 3: (1, 1), 4: (4, 4), 5: (6, 56),
+                      6: (80, 9408)}
+
+
+@pytest.mark.parametrize("name", ["S3", "C2^3", "C4xC2", "D8", "Q8", "C2^4"])
+def test_associativity_check_matches_the_all_elements_check_on_swapped_intercalates(name):
+    # groups of odd order have no 2x2 Latin subsquare to swap
+    G = {"S3": dihedral(6), "C2^3": elementary_abelian(2, 3),
+         "C4xC2": product(cyclic(4), cyclic(2)), "D8": dihedral(8), "Q8": quaternion(),
+         "C2^4": elementary_abelian(2, 4)}[name]
+    t, n = G.table, G.order
+    swapped = 0
+    for a, b in itertools.combinations(range(1, n), 2):
+        for c, d in itertools.combinations(range(1, n), 2):
+            if t[a, c] == t[b, d] and t[a, d] == t[b, c]:
+                # swapping a 2x2 Latin subsquare off row and column 0 leaves
+                # a Latin square with identity 0
+                s = t.copy()
+                s[[a, a, b, b], [c, d, c, d]] = t[[a, a, b, b], [d, c, d, c]]
+                assert _accepts(s) == is_associative_by_rows(s), (a, b, c, d)
+                swapped += 1
+    assert swapped
 
 
 def test_table_spec_over_the_cap_is_refused_before_validation():
