@@ -9,6 +9,19 @@ Everything downstream (ideal membership, equality, saturation, elimination,
 contraction along ring homomorphisms) reduces to normal forms against those
 bases.
 
+Inside the reduction kernel (`buchberger`, `s_polynomial`, `normal_form`)
+a monomial is one int: `MonomialOrder.codec(bits)` packs exponent tuples
+into fields of w = bits + nvars.bit_length() + 1 bits, variable 0 lowest,
+each exponent below 2**bits.  A product is one `+`; a divides b when
+`((b | guard) - a) & guard == guard`, guard being bit `bits` of each field;
+the lcm selects fields by the same subtraction; the total degree is
+`x % (2**w - 1)`; and the order key is one int, `(degree << S) - x` for
+grevlex and two such blocks for a block order.  An input exponent past the
+bound, or a product that sets a guard bit, raises `_Overflow`, and the whole
+computation restarts at twice the width (8 bits first), so results do not
+depend on any exponent bound.  Callers outside the kernel see exponent
+tuples only.
+
 Variables carry an integer shift degree (and optionally a twist tuple); in
 odd characteristic only even shift degrees are supported, which keeps the
 ring honestly commutative.  For p = 2 signs are invisible, so odd degrees
@@ -20,7 +33,7 @@ import functools
 import heapq
 import itertools
 import re
-from operator import add, le, mul, neg, sub
+from operator import add, le, lshift, mul, neg, sub
 
 
 class RingError(ValueError):
@@ -62,6 +75,81 @@ class MonomialOrder:
         k1, k2 = self.key(e1), self.key(e2)
         return (k1 > k2) - (k1 < k2)
 
+    def codec(self, bits):
+        """The packed monomials of this order with exponents below 2**bits."""
+        return _codec(self.nvars, self.block, bits)
+
+
+class _Overflow(ArithmeticError):
+    """An exponent reached the codec's bound: rerun at a wider one."""
+
+
+class PackedMonomials:
+    """Exponent tuples of one monomial order packed into single ints.
+
+    Variable i owns bits [w*i, w*(i+1)), w = bits + nvars.bit_length() + 1,
+    and holds an exponent below 2**bits, so a sum of two packed monomials
+    carries into no neighbouring field and all exponents sum to less than
+    2**w - 1.  `key` sorts packed monomials as the order sorts their tuples.
+    """
+
+    def __init__(self, nvars, block, bits):
+        w = bits + nvars.bit_length() + 1
+        self.bits = bits
+        self.shifts = tuple(range(0, w * nvars, w))
+        self.guard = sum(1 << s for s in self.shifts) << bits
+        self.field = (1 << bits) - 1  # the largest exponent: one field's value bits
+        mod = (1 << w) - 1  # 2**w = 1 modulo it: x % mod sums the fields
+        top = w * nvars
+        if block:
+            low, mask = w * block, (1 << w * block) - 1
+            rest = top - low
+
+            def key(x):  # the rest's grevlex key is below 2**(rest + w)
+                xb, xr = x & mask, x >> low
+                kb = ((xb % mod) << low) - xb
+                return (kb << (rest + w)) + ((xr % mod) << rest) - xr
+        else:
+
+            def key(x):
+                return ((x % mod) << top) - x
+
+        self.key = key
+        self.degree = mod.__rmod__  # x -> x % mod
+
+    def encode(self, f):
+        """A polynomial with exponent tuples as one with packed monomials."""
+        out = {}
+        for m, c in f.items():
+            if max(m, default=0) > self.field:
+                raise _Overflow
+            out[sum(map(lshift, m, self.shifts))] = c
+        return out
+
+    def decode(self, f):
+        field, shifts = self.field, self.shifts
+        return {tuple(x >> s & field for s in shifts): c for x, c in f.items()}
+
+    def lcm(self, a, b):
+        ge = ((b | self.guard) - a) & self.guard  # guard bits of fields b >= a
+        return a ^ ((a ^ b) & (ge - (ge >> self.bits)))
+
+
+@functools.cache
+def _codec(nvars, block, bits):
+    return PackedMonomials(nvars, block, bits)
+
+
+def _packed(order, run):
+    """run(codec) with the narrowest codec of `order`, from 8 bits up, whose
+    exponent bound the run never reaches."""
+    bits = 8
+    while True:
+        try:
+            return run(order.codec(bits))
+        except _Overflow:
+            bits *= 2
+
 
 # -- raw polynomial arithmetic --------------------------------------------------
 
@@ -88,15 +176,11 @@ def pscale(f, c, p):
     return {m: (cc * c) % p for m, cc in f.items()}
 
 
-def _mono_mul(m1, m2):
-    return tuple(map(add, m1, m2))
-
-
 def pmul(f, g, p):
     out = {}
     for m1, c1 in f.items():
         for m2, c2 in g.items():
-            m = _mono_mul(m1, m2)
+            m = tuple(map(add, m1, m2))
             c = (out.get(m, 0) + c1 * c2) % p
             if c:
                 out[m] = c
@@ -121,53 +205,32 @@ def leading(f, order):
     return m, f[m]
 
 
-def _support(m):
-    # bit k set when variable k occurs: a divisor's support lies in its multiple's
-    return sum(1 << k for k, e in enumerate(m) if e)
+def normal_form(f, basis, codec, p, lead=None):
+    """Full normal form of f against a list of polynomials, all with
+    monomials packed by `codec`.
 
-
-def _lead(g, order):
-    """Leading monomial, its coefficient and its support, as normal_form
-    takes them."""
-    m, c = leading(g, order)
-    return m, c, _support(m)
-
-
-def _divides(m1, m2):
-    return all(map(le, m1, m2))
-
-
-def _mono_div(m1, m2):
-    return tuple(map(sub, m1, m2))
-
-
-def _lcm(m1, m2):
-    return tuple(map(max, m1, m2))
-
-
-def normal_form(f, basis, order, p, lead=None):
-    """Full normal form of f against a list of polynomials.
-
-    `lead` may give the leading terms of `basis`, as `_lead` returns them;
+    `lead` may give the leading terms of `basis`, as `leading` returns them;
     callers that reduce many polynomials against one basis pass it once.
     """
     if lead is None:
-        lead = [_lead(g, order) for g in basis]
-    key = order.key
+        lead = [leading(g, codec) for g in basis]
+    key, guard = codec.key, codec.guard
     out = {}
     work = pnormal(f, p)
     keys = {m: key(m) for m in work}  # order keys of the monomials seen
     while work:
         m = max(work, key=keys.__getitem__)
         c = work[m]
-        ms = _support(m)
-        for g, (lm, lc, ls) in zip(basis, lead):
-            if not ls & ~ms and _divides(lm, m):
+        top = m | guard
+        for g, (lm, lc) in zip(basis, lead):
+            if (top - lm) & guard == guard:  # lm divides m
                 # work -= (c / lc) * (m / lm) * g
-                q = _mono_div(m, lm)
+                q = m - lm
                 scale = (c * pow(lc, p - 2, p)) % p
                 for mg, cg in g.items():
-                    t = _mono_mul(q, mg)
+                    t = q + mg
+                    if t & guard:
+                        raise _Overflow
                     ct = (work.get(t, 0) - scale * cg) % p
                     if ct:
                         work[t] = ct
@@ -182,14 +245,30 @@ def normal_form(f, basis, order, p, lead=None):
     return out
 
 
-def s_polynomial(f, g, lead_f, lead_g, p):
-    """S-polynomial of f and g; `lead_f` and `lead_g` start with their
-    leading monomials and coefficients, as `leading` and `_lead` return them."""
-    (mf, cf), (mg, cg) = lead_f[:2], lead_g[:2]
-    lcm = _lcm(mf, mg)
-    tf = {_mono_div(lcm, mf): pow(cf, p - 2, p)}
-    tg = {_mono_div(lcm, mg): pow(cg, p - 2, p)}
-    return padd(pmul(tf, f, p), pscale(pmul(tg, g, p), p - 1, p), p)
+def s_polynomial(f, g, lead_f, lead_g, codec, p):
+    """S-polynomial of f and g, with monomials packed by `codec`; `lead_f`
+    and `lead_g` are their leading terms, as `leading` returns them."""
+    (mf, cf), (mg, cg) = lead_f, lead_g
+    lcm = codec.lcm(mf, mg)
+    guard = codec.guard
+    out = {}
+    uf, scale = lcm - mf, pow(cf, p - 2, p)
+    for m, c in f.items():
+        t = uf + m
+        if t & guard:
+            raise _Overflow
+        out[t] = (c * scale) % p
+    ug, scale = lcm - mg, p - pow(cg, p - 2, p)
+    for m, c in g.items():
+        t = ug + m
+        if t & guard:
+            raise _Overflow
+        ct = (out.get(t, 0) + c * scale) % p
+        if ct:
+            out[t] = ct
+        else:
+            del out[t]
+    return out
 
 
 def buchberger(gens, order, p):
@@ -197,9 +276,17 @@ def buchberger(gens, order, p):
 
     Each new element updates the S-pairs by the Gebauer–Möller criteria
     (JSC 1988), and pairs are taken by total degree of their lcm, then by
-    its order key.
+    its order key.  The run works on packed monomials, from the narrowest
+    codec of `order` whose bound it never reaches.
     """
-    key = order.key
+    gens = [g for g in (pnormal(g, p) for g in gens) if g]
+    return _packed(order, lambda codec: _buchberger(gens, codec, p))
+
+
+def _buchberger(gens, codec, p):
+    key, degree, lcm_of = codec.key, codec.degree, codec.lcm
+    # a divides b when ((b | guard) - a) & guard == guard
+    guard, bits = codec.guard, codec.bits
     basis, lead = [], []  # leading terms taken once per element
     alive = []  # elements whose leading terms no later element divides
     # heap of S-pairs (degree and key of the lcm, -arrival, i, j, lcm): of
@@ -210,14 +297,15 @@ def buchberger(gens, order, p):
     def add(h):
         hi = len(basis)
         basis.append(h)
-        lead.append(_lead(h, order))
+        lead.append(leading(h, codec))
         mh = lead[hi][0]
         # B: a queued pair goes when lt(h) divides its lcm and h's lcm with
         # neither of its elements equals it
         kept = [
             q for q in pairs
-            if not (_divides(mh, q[5]) and _lcm(lead[q[3]][0], mh) != q[5]
-                    and _lcm(lead[q[4]][0], mh) != q[5])
+            if not (((q[5] | guard) - mh) & guard == guard
+                    and lcm_of(lead[q[3]][0], mh) != q[5]
+                    and lcm_of(lead[q[4]][0], mh) != q[5])
         ]
         if len(kept) < len(pairs):
             pairs[:] = kept
@@ -228,44 +316,52 @@ def buchberger(gens, order, p):
         first = {}
         for g in alive:
             mg = lead[g][0]
-            u = tuple(map(sub, map(max, mg, mh), mh))
+            d = (mg | guard) - mh
+            ge = d & guard  # guard bits of the fields where lt(g) >= lt(h)
+            u = d & (ge - (ge >> bits))
             g0, coprime = first.get(u, (g, False))
             first[u] = (g0, coprime or u == mg)
         minimal = []
-        for u in sorted(first, key=sum):
-            if not any(_divides(v, u) for v in minimal):
+        for u in sorted(first, key=degree):
+            top = u | guard
+            for v in minimal:
+                if (top - v) & guard == guard:
+                    break
+            else:
                 minimal.append(u)
                 g, coprime = first[u]
                 if not coprime:
-                    lcm = _mono_mul(mh, u)
-                    item = (sum(lcm), key(lcm), -next(arrivals), g, hi, lcm)
+                    lcm = mh + u
+                    item = (degree(lcm), key(lcm), -next(arrivals), g, hi, lcm)
                     heapq.heappush(pairs, item)
-        alive[:] = [g for g in alive if not _divides(mh, lead[g][0])] + [hi]
+        alive[:] = [
+            g for g in alive if ((lead[g][0] | guard) - mh) & guard != guard
+        ] + [hi]
 
     for g in gens:
-        g = pnormal(g, p)
-        if g:
-            add(g)
+        add(codec.encode(g))
     while pairs:
         *_, i, j, _ = heapq.heappop(pairs)
-        s = s_polynomial(basis[i], basis[j], lead[i], lead[j], p)
-        r = normal_form(s, basis, order, p, lead)
+        s = s_polynomial(basis[i], basis[j], lead[i], lead[j], codec, p)
+        r = normal_form(s, basis, codec, p, lead)
         if r:
             add(r)
     # minimalize: no two alive leading terms are equal
     keep = [
         i for i in alive
-        if not any(k != i and _divides(lead[k][0], lead[i][0]) for k in alive)
+        if not any(k != i and ((lead[i][0] | guard) - lead[k][0]) & guard == guard
+                   for k in alive)
     ]
     # inter-reduce, which keeps each leading term, and normalize
     reduced = []
     for i in keep:
         others = [k for k in keep if k != i]
         r = normal_form(
-            basis[i], [basis[k] for k in others], order, p, [lead[k] for k in others]
+            basis[i], [basis[k] for k in others], codec, p, [lead[k] for k in others]
         )
-        lm, lc, _ = lead[i]
-        reduced.append((key(lm), canonical(pscale(r, pow(lc, p - 2, p), p))))
+        lm, lc = lead[i]
+        g = codec.decode(pscale(r, pow(lc, p - 2, p), p))
+        reduced.append((key(lm), canonical(g)))
     return tuple(g for _, g in sorted(reduced))
 
 
@@ -398,14 +494,15 @@ class GradedPresentation:
             list(gens) + list(self.relations), self.nvars, block, self.p
         )
 
-    def _reducer(self, gb):
-        """A grevlex basis from groebner_of as dicts, with their leading
-        terms: the arguments of normal_form, built once per basis."""
-        hit = self._reducer_cache.get(gb)
+    def _reducer(self, gb, codec):
+        """A grevlex basis from groebner_of packed by `codec`, with its
+        leading terms: the arguments of normal_form, built once per basis
+        and field width."""
+        hit = self._reducer_cache.get((gb, codec.bits))
         if hit is None:
-            basis = [dict(g) for g in gb]
-            hit = (basis, [_lead(g, self.order) for g in basis])
-            self._reducer_cache[gb] = hit
+            basis = [codec.encode(dict(g)) for g in gb]
+            hit = (basis, [leading(g, codec) for g in basis])
+            self._reducer_cache[gb, codec.bits] = hit
         return hit
 
     def __repr__(self):
@@ -457,8 +554,12 @@ class HomogeneousIdeal:
         gb = self.groebner()
         if not gb:
             return f
-        basis, lead = amb._reducer(gb)
-        return normal_form(f, basis, amb.order, amb.p, lead)
+
+        def reduce(codec):
+            basis, lead = amb._reducer(gb, codec)
+            return codec.decode(normal_form(codec.encode(f), basis, codec, amb.p, lead))
+
+        return _packed(amb.order, reduce)
 
     def is_zero(self):
         """True iff the ideal equals the ideal of ambient relations alone."""
@@ -640,7 +741,7 @@ def _shift_histogram(digest, twist):
     return collections.Counter(
         sum(map(mul, expo, degrees))
         for expo in _exponents_of_twist([twists[n] for n in names], twist)
-        if not any(_divides(lm, expo) for lm in lead)
+        if not any(all(map(le, lm, expo)) for lm in lead)
     )
 
 

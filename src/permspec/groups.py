@@ -405,10 +405,17 @@ def from_permutations(degree, generators, cap=DEFAULT_ORDER_CAP):
                 seen.add(y)
                 elems.append(y)
                 q.append(y)
-    index = {e: i for i, e in enumerate(elems)}
-    table = [
-        [index[tuple(a[b[i]] for i in range(degree))] for b in elems] for a in elems
-    ]
+    if degree <= 0:  # no points: the trivial group
+        return FiniteGroup([[0]])
+    # the table in one gather: entry (a, b, i) of perms[:, perms] is a(b(i)),
+    # and each product is found by its row of bytes among the sorted elements
+    n = len(elems)
+    perms = np.array(elems, dtype=np.min_scalar_type(degree - 1))
+    row = np.dtype((np.void, perms.itemsize * degree))
+    codes = perms.view(row).ravel()
+    by_code = np.argsort(codes)
+    products = perms[:, perms].reshape(n * n, degree).view(row).ravel()
+    table = by_code[np.searchsorted(codes[by_code], products)].reshape(n, n)
     return FiniteGroup(table)
 
 

@@ -4,20 +4,15 @@ needs."""
 
 import heapq
 import itertools
+from operator import add, le, sub
 
 import numpy as np
 
 from permspec import modp, sections, spectra
 from permspec.gradedrings import (
-    _divides,
-    _lcm,
-    _lead,
-    _mono_div,
-    _mono_mul,
     canonical,
     contract,
     leading,
-    normal_form,
     padd,
     pmul,
     pnormal,
@@ -361,6 +356,34 @@ def maximal_spans_all_pairs(cat, x1, x2, reduction="full"):
     return [sections.SpanRelation(*c) for c in reps]
 
 
+def permutation_table_by_loops(degree, generators):
+    """The table from_permutations builds, one Python tuple per product: the
+    elements in breadth-first order from the identity under right
+    multiplication by the generators, and a*b looked up as i -> a(b(i))."""
+    def perm_of(cycles):
+        perm = list(range(degree))
+        for cyc in cycles:
+            for k, x in enumerate(cyc):
+                perm[x] = cyc[(k + 1) % len(cyc)]
+        return tuple(perm)
+
+    gens = [perm_of(c) for c in generators]
+    ident = tuple(range(degree))
+    elems, seen, queue = [ident], {ident}, [ident]
+    while queue:
+        x = queue.pop(0)
+        for g in gens:
+            y = tuple(x[g[i]] for i in range(degree))
+            if y not in seen:
+                seen.add(y)
+                elems.append(y)
+                queue.append(y)
+    index = {e: i for i, e in enumerate(elems)}
+    return [
+        [index[tuple(a[b[i]] for i in range(degree))] for b in elems] for a in elems
+    ]
+
+
 def relabelled(G, k=5):
     """G with element i > 0 renamed 1 + k(i - 1) mod (|G| - 1), for k prime to
     |G| - 1.  Its subgroups get other element tuples and its elementary
@@ -433,6 +456,82 @@ def quotient_by_cosets(G, N):
     return FiniteGroup(table, names=names, check=False), Projection(proj_map, reps)
 
 
+def _mono_mul(m1, m2):
+    return tuple(map(add, m1, m2))
+
+
+def _mono_div(m1, m2):
+    return tuple(map(sub, m1, m2))
+
+
+def _lcm(m1, m2):
+    return tuple(map(max, m1, m2))
+
+
+def _divides(m1, m2):
+    return all(map(le, m1, m2))
+
+
+def _support(m):
+    # bit k set when variable k occurs: a divisor's support lies in its multiple's
+    return sum(1 << k for k, e in enumerate(m) if e)
+
+
+def _lead(g, order):
+    """Leading monomial, its coefficient and its support, as
+    plain_normal_form takes them."""
+    m, c = leading(g, order)
+    return m, c, _support(m)
+
+
+def plain_normal_form(f, basis, order, p, lead=None):
+    """Full normal form of f against a list of polynomials, on exponent
+    tuples: the reduction the package ran before its monomials were packed
+    into ints.
+
+    `lead` may give the leading terms of `basis`, as `_lead` returns them.
+    """
+    if lead is None:
+        lead = [_lead(g, order) for g in basis]
+    key = order.key
+    out = {}
+    work = pnormal(f, p)
+    keys = {m: key(m) for m in work}  # order keys of the monomials seen
+    while work:
+        m = max(work, key=keys.__getitem__)
+        c = work[m]
+        ms = _support(m)
+        for g, (lm, lc, ls) in zip(basis, lead):
+            if not ls & ~ms and _divides(lm, m):
+                # work -= (c / lc) * (m / lm) * g
+                q = _mono_div(m, lm)
+                scale = (c * pow(lc, p - 2, p)) % p
+                for mg, cg in g.items():
+                    t = _mono_mul(q, mg)
+                    ct = (work.get(t, 0) - scale * cg) % p
+                    if ct:
+                        work[t] = ct
+                        if t not in keys:
+                            keys[t] = key(t)
+                    else:
+                        del work[t]
+                break
+        else:
+            out[m] = c
+            del work[m]
+    return out
+
+
+def plain_s_polynomial(f, g, lead_f, lead_g, p):
+    """S-polynomial of f and g on exponent tuples; `lead_f` and `lead_g`
+    start with their leading monomials and coefficients."""
+    (mf, cf), (mg, cg) = lead_f[:2], lead_g[:2]
+    lcm = _lcm(mf, mg)
+    tf = {_mono_div(lcm, mf): pow(cf, p - 2, p)}
+    tg = {_mono_div(lcm, mg): pow(cg, p - 2, p)}
+    return padd(pmul(tf, f, p), pscale(pmul(tg, g, p), p - 1, p), p)
+
+
 def plain_buchberger(gens, order, p):
     """Reduced Groebner basis by Buchberger's algorithm with the product
     criterion alone: every pair of elements with leading terms that are not
@@ -461,7 +560,7 @@ def plain_buchberger(gens, order, p):
             pmul({_mono_div(lcm, mj): p - pow(cj, p - 2, p)}, basis[j], p),
             p,
         )
-        r = normal_form(s, basis, order, p, lead)
+        r = plain_normal_form(s, basis, order, p, lead)
         if r:
             j = len(basis)
             basis.append(r)
@@ -477,7 +576,7 @@ def plain_buchberger(gens, order, p):
     reduced = []
     for i in keep:
         others = [k for k in keep if k != i]
-        r = normal_form(basis[i], [basis[k] for k in others], order, p)
+        r = plain_normal_form(basis[i], [basis[k] for k in others], order, p)
         if r:
             lm, lc = leading(r, order)
             reduced.append((key(lm), pscale(r, pow(lc, p - 2, p), p)))

@@ -29,6 +29,7 @@ from permspec.groups import (
 
 from references import (
     is_associative_by_rows,
+    permutation_table_by_loops,
     quotient_by_cosets,
     relabelled,
     subgroups_by_pairs,
@@ -138,6 +139,24 @@ def test_from_permutations():
     S3 = from_permutations(3, [[[0, 1]], [[0, 1, 2]]])
     assert S3.order == 6
     assert not S3.is_abelian()
+
+
+@pytest.mark.parametrize("degree, generators", [
+    (4, [[[0, 1]], [[0, 1, 2, 3]]]),  # S4
+    (5, [[[0, 1]], [[0, 1, 2, 3, 4]]]),  # S5
+    (6, [[[0, 1]], [[0, 1, 2, 3, 4, 5]]]),  # S6
+    (5, [[[0, 1, 2]], [[0, 1, 2, 3, 4]]]),  # A5
+    (5, [[[0, 1, 2, 3, 4]], [[1, 2, 4, 3]]]),  # the Frobenius group of order 20
+    (6, [[[0, 1, 2]], [[3, 4]], [[0, 3], [1, 4], [2, 5]]]),  # S3 wr C2
+    (6, [[[0, 1, 2, 3, 4]], [[1, 2, 4, 3]], [[0, 5], [1, 4]]]),  # PGL(2, 5) on 6 points
+    (17, [[list(range(17))]]),  # C17: a row no base-17 int64 code holds
+    (300, [[[0, 1]], [[298, 299]]]),  # C2 x C2 on 300 points: two-byte entries
+    (1, []),
+    (0, []),
+])
+def test_from_permutations_matches_the_loop_table(degree, generators):
+    G = from_permutations(degree, generators, cap=720)
+    assert G.table.tolist() == permutation_table_by_loops(degree, generators)
 
 
 def test_group_from_spec():

@@ -7,7 +7,12 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from references import plain_buchberger, token_order_by_closure
+from references import (
+    plain_buchberger,
+    plain_normal_form,
+    plain_s_polynomial,
+    token_order_by_closure,
+)
 
 import permspec
 from permspec import gradedrings, modp
@@ -25,11 +30,9 @@ from permspec.gradedrings import (
     eliminate,
     format_poly,
     leading,
-    normal_form,
     padd,
     parse_poly,
     pmul,
-    s_polynomial,
 )
 from permspec.groups import elementary_abelian
 from permspec.spectra import KIND_FAMILY, _named_points, _specialization_order
@@ -115,12 +118,13 @@ def certify_groebner(gb, gens, order, p):
     leads = [leading(g, order) for g in basis]
     # a generating set of the same ideal
     for f in gens:
-        assert not normal_form(f, basis, order, p)
+        assert not plain_normal_form(f, basis, order, p)
     for g in basis:
         assert _in_ideal(g, gens, p)
     # Buchberger's criterion
     for (f, lf), (g, lg) in itertools.combinations(zip(basis, leads), 2):
-        assert not normal_form(s_polynomial(f, g, lf, lg, p), basis, order, p)
+        s = plain_s_polynomial(f, g, lf, lg, p)
+        assert not plain_normal_form(s, basis, order, p)
     # reduced and monic, sorted by leading monomial
     assert all(lc == 1 for _, lc in leads)
     for i, g in enumerate(basis):
@@ -225,10 +229,10 @@ def test_groebner_reduces_s_polynomials():
         gens = [_random_poly(pres, rng) for _ in range(2)]
         gb = buchberger(gens, pres.order, p)
         for f, g in itertools.combinations([dict(t) for t in gb], 2):
-            s = s_polynomial(
+            s = plain_s_polynomial(
                 f, g, leading(f, pres.order), leading(g, pres.order), p
             )
-            assert not normal_form(s, [dict(t) for t in gb], pres.order, p)
+            assert not plain_normal_form(s, [dict(t) for t in gb], pres.order, p)
 
 
 def test_eliminate():
@@ -370,6 +374,61 @@ def test_normal_form_is_ideal_representative(seed, p):
     assert I.member(padd(f, {m: -c for m, c in r.items()}, p))
     # normal form is idempotent
     assert canonical(I.normal_form(r)) == canonical(r)
+
+
+def _random_monomial(nvars, degree, rng, top=None):
+    """Uniform cut points: an exponent tuple of the given total degree, drawn
+    again until no exponent passes top."""
+    while True:
+        cuts = sorted(rng.randrange(degree + 1) for _ in range(nvars - 1))
+        e = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+        if top is None or max(e) <= top:
+            return e
+
+
+@pytest.mark.parametrize("p, block, gens", [
+    (2, 0, ["x^70000 + y^70000", "x*y"]),
+    # the S-polynomial y^256 is the first exponent past 8 bits
+    (2, 0, ["x^255 + y^255", "x*y"]),
+    (3, 1, ["x^5000 + 2*y^3000*z^2000", "x*z"]),
+    # the S-polynomial 2*y^65536 is the first exponent past 16 bits
+    (3, 1, ["x^65535 + 2*y^65535", "x*y"]),
+])
+def test_buchberger_past_the_first_field_width(p, block, gens):
+    """Exponents past a codec's bound restart the packed run at a wider one,
+    whether an input or a product reaches the bound."""
+    pres = _poly_ring(p, ["x", "y", "z"])
+    gens = [pres.poly(g) for g in gens]
+    order = MonomialOrder(3, block)
+    assert buchberger(gens, order, p) == plain_buchberger(gens, order, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10**6), st.sampled_from([2, 3, 5]), st.integers(2, 3), st.booleans()
+)
+def test_normal_form_past_the_first_field_width(seed, p, nvars, narrow):
+    """An ideal's normal form equals the tuple reduction's against the same
+    basis.  Narrow inputs fit 8-bit fields but f has total degree past 255,
+    so a reduction product can pass 2**8; wide inputs pass it themselves."""
+    rng = random.Random(seed)
+    pres = _poly_ring(p, ["x", "y", "z"][:nvars])
+    top = 255 if narrow else None
+
+    def poly(degree, nterms):
+        return {
+            _random_monomial(nvars, degree, rng, top): rng.randrange(1, p)
+            for _ in range(nterms)
+        }
+
+    degree = rng.randrange(1, 256 if narrow else 600)
+    gens = [poly(degree, rng.randrange(1, 4))]
+    if rng.random() < 0.5:
+        gens.append({(0,) * (nvars - 1) + (rng.randrange(1, degree + 1),): 1})
+    I = HomogeneousIdeal(pres, gens)
+    f = poly(rng.randrange(256, 400 if narrow else 700), rng.randrange(1, 5))
+    basis = [dict(g) for g in I.groebner()]
+    assert I.normal_form(f) == plain_normal_form(f, basis, pres.order, p)
 
 
 def test_ideal_equality_independent_of_generators():
