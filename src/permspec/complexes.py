@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from . import modp
-from .groups import ResourceError, quotient, subgroup_as_group
+from .groups import ResourceError, quotient
 from .modp import two_prime
 
 # Entries of the largest dense matrix a tensor product may allocate (2^22
@@ -647,12 +647,10 @@ def _u_pi(G, p, pi):
 
 def psi_complex(C, H):
     """Geometric H-fixed points: keep the H-fixed basis, act through G/H."""
-    G = C.group
-    N = G.subgroup(list(H.elements))
-    Q, proj = quotient(G, N)
+    Q, proj = quotient(C.group.full_subgroup(), H)
     gsets, diffs, keep = {}, {}, {}
     for n, gs in C.gsets.items():
-        fixed = gs.fixed_points(N)
+        fixed = gs.fixed_points(H)
         keep[n] = fixed
         if not fixed:
             continue
@@ -683,9 +681,9 @@ def psi_map(f, H):
 
 def res_complex(C, H):
     """Restrict the action to a subgroup (returned over its abstract group)."""
-    Hgrp, embed = subgroup_as_group(H)
+    Hgrp, proj = quotient(H, H.parent.trivial_subgroup())
     gsets = {
-        n: GSet(Hgrp, gs.action[np.asarray(embed)]) for n, gs in C.gsets.items()
+        n: GSet(Hgrp, gs.action[np.asarray(proj.reps)]) for n, gs in C.gsets.items()
     }
     return PermComplex(Hgrp, C.p, gsets, dict(C.diffs)), Hgrp
 

@@ -5,6 +5,10 @@ indices, with the identity at index 0.  At desk scale (|G| <= 128) the full
 table is cheap and makes quotients and conjugation trivial.  The table is held
 twice: as a numpy array for whole-table checks, and as Python rows for the
 scalar lookups of `mul`, `inv` and `conj`.
+
+A section H/K (K normal in a subgroup H) becomes a group one way only,
+`quotient(H, K)`, in one table over the cosets numbered by least element; a
+subgroup H is H/1 and a whole group is G.full_subgroup().
 """
 
 import collections
@@ -150,7 +154,7 @@ class FiniteGroup:
         return Subgroup(self, [0])
 
     def full_subgroup(self):
-        return Subgroup(self, range(self.order))
+        return Subgroup(self, range(self.order), check=False)
 
     def generated_subgroup(self, gens):
         return Subgroup(self, _join(self._rows, (0,), [int(g) for g in gens]))
@@ -588,35 +592,28 @@ def center(G):
     return centralizer(G, G.full_subgroup())
 
 
-def subgroup_as_group(H):
-    """Realize a subgroup as a FiniteGroup.
-
-    Returns (group, embed) where embed[i] is the parent index of element i;
-    the identity stays at index 0.
-    """
-    G = H.parent
-    embed = [0] + [x for x in H.elements if x != 0]
-    index = {x: i for i, x in enumerate(embed)}
-    table = [[index[G.mul(a, b)] for b in embed] for a in embed]
-    names = [G.name_of(x) for x in embed] if G.names else None
-    return FiniteGroup(table, names=names, check=False), embed
-
-
-# proj.map[g] is the coset of g and proj.reps[q] the least element of coset q
+# proj.map[x] is the coset of x in H (None outside H), a list over the parent
+# group, and proj.reps[q] the least element of coset q
 Projection = collections.namedtuple("Projection", "map reps")
 
 
-def quotient(G, N):
-    """Quotient group G/N with its projection.  N must be normal.
+def quotient(H, K):
+    """The section H/K as a group, with its projection from H.  H is a
+    Subgroup of some G and K <= H must be normal in H.
 
     Cosets are numbered in the order of their least elements
-    (G.coset_minima), so the identity coset is 0."""
-    if not N.is_normal():
+    (G.coset_minima), so the identity coset is 0, and H/1 is H with its
+    elements in G's order (proj.reps).  A whole group is G.full_subgroup()."""
+    G = H.parent
+    if not H.contains_subgroup(K):
+        raise GroupError("quotient by a subgroup not inside H")
+    if not K.is_normal(H):
         raise GroupError("quotient by a non-normal subgroup")
-    least = G.coset_minima(N.elements)
-    reps = sorted(set(least))
+    least = G.coset_minima(K.elements)
+    reps = sorted({least[x] for x in H.elements})
     coset = {x: q for q, x in enumerate(reps)}
-    proj_map = [coset[x] for x in least]
+    # the coset xK of an x outside H misses H, so its least element too
+    proj_map = [coset.get(x) for x in least]
     table = [[proj_map[G.mul(a, b)] for b in reps] for a in reps]
     names = [G.name_of(r) + "N" for r in reps] if G.names else None
     return FiniteGroup(table, names=names, check=False), Projection(proj_map, reps)
@@ -625,13 +622,9 @@ def quotient(G, N):
 def weyl(G, H):
     """Weyl group of H in G: (normalizer, N_G(H)/H as a group, projection).
 
-    The projection is from the normalizer realized as a FiniteGroup.
-    """
+    The projection reads the normalizer's elements of G."""
     N = normalizer(G, H)
-    NG, embed = subgroup_as_group(N)
-    index = {x: i for i, x in enumerate(embed)}
-    Hin = Subgroup(NG, [index[x] for x in H.elements], check=False)
-    W, proj = quotient(NG, Hin)
+    W, proj = quotient(N, H)
     return N, W, proj
 
 

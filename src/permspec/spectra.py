@@ -42,7 +42,6 @@ from .groups import (
     p_rank_of_section,
     p_subgroups,
     quotient,
-    subgroup_as_group,
 )
 from .gradedrings import HomogeneousIdeal
 from .twisted import local_ring
@@ -219,7 +218,7 @@ def stratum_data(E, S, p):
 
 @functools.cache
 def _stratum_data(E, elements, p):
-    Q, proj = quotient(E, Subgroup(E, elements, check=False))
+    Q, proj = quotient(E.full_subgroup(), Subgroup(E, elements, check=False))
     return Q, proj, local_ring(Q, Q.trivial_subgroup(), p)
 
 
@@ -395,10 +394,11 @@ def _specialization_order(E, p, points):
 
 
 class SectionPlatform:
-    """A section (H, K) realized as an elementary abelian quotient group Q.
+    """A section (H, K) realized as the elementary abelian group Q =
+    quotient(H, K).
 
-    q_of sends each element of H to Q; the named points of Q are built on
-    use, and glue orders them with _specialization_order.
+    q_of sends each element of H to its coset in Q; the named points of Q are
+    built on use, and glue orders them with _specialization_order.
     """
 
     def __init__(self, sec, p, level="rational", cap_rank=DEFAULT_RANK_CAP):
@@ -406,12 +406,8 @@ class SectionPlatform:
         self.p = p
         self.level = level
         self.cap_rank = cap_rank
-        Hgrp, embed = subgroup_as_group(sec.H)
-        embed = [int(x) for x in embed]
-        index = {x: i for i, x in enumerate(embed)}
-        Kin = Hgrp.subgroup(sorted(index[int(k)] for k in sec.K.elements))
-        self.Q, proj = quotient(Hgrp, Kin)
-        self.q_of = {x: proj.map[i] for i, x in enumerate(embed)}
+        self.Q, proj = quotient(sec.H, sec.K)
+        self.q_of = {x: proj.map[x] for x in sec.H.elements}
 
     @functools.cached_property
     def points(self):

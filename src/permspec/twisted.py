@@ -32,7 +32,6 @@ from .groups import (
     Subgroup,
     is_elementary_abelian,
     quotient,
-    subgroup_as_group,
 )
 from .gradedrings import (
     GradedPresentation,
@@ -339,7 +338,7 @@ def psi_hom(E, H, K, p):
     if not H.contains_subgroup(K):
         raise GroupError("psi_hom needs K <= H")
     src = local_ring(E, H, p)
-    Q, proj = quotient(E, E.subgroup(list(K.elements)))
+    Q, proj = quotient(E.full_subgroup(), K)
     Hbar = Q.subgroup(sorted({proj.map[x] for x in H.elements}))
     tgt = local_ring(Q, Hbar, p)
     ea = src.ea
@@ -359,11 +358,9 @@ def res_hom(Esub, E, H, p):
     """
     if not Esub.contains_subgroup(H):
         raise GroupError("res_hom needs H <= E'")
-    Esub_grp, embed = subgroup_as_group(Esub)
-    Hsub = Esub_grp.subgroup(
-        [i for i, x in enumerate(embed) if int(x) in set(H.elements)]
-    )
-    return induced_hom(local_ring(E, H, p), local_ring(Esub_grp, Hsub, p), embed)
+    Esub_grp, proj = quotient(Esub, E.trivial_subgroup())
+    Hsub = Esub_grp.subgroup([proj.map[x] for x in H.elements])
+    return induced_hom(local_ring(E, H, p), local_ring(Esub_grp, Hsub, p), proj.reps)
 
 
 def _localized_presentation(pres, names):

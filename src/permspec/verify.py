@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from .groups import cyclic, elementary_abelian, p_subgroups, quotient, subgroup_as_group
+from .groups import cyclic, elementary_abelian, p_subgroups, quotient
 from .complexes import (
     build_u,
     cone,
@@ -108,6 +108,17 @@ def verify_master():
     return ok, lines
 
 
+def _same_uab(u, a, b, ref):
+    """Whether the complex u with degree-0 maps a and b is (ref, a, b) of
+    the reference complex ref."""
+    return (
+        u.total_dim() == ref.total_dim()
+        and all(np.array_equal(u.diff(n), ref.diff(n)) for n in ref.diffs)
+        and np.array_equal(a.comp(0), map_a(ref).comp(0))
+        and np.array_equal(b.comp(0), map_b(ref).comp(0))
+    )
+
+
 def verify_functors():
     """Fixed points and restriction act on (u_N, a_N, b_N) by the expected
     case split, checked over the Klein four-group for every pair (H, N)."""
@@ -124,20 +135,12 @@ def verify_functors():
             psi_u, _ = psi_complex(u, H)
             pa, pb = psi_map(map_a(u), H), psi_map(map_b(u), H)
             if N.contains_subgroup(H):
-                Q, proj = quotient(E, H)
+                Q, proj = quotient(E.full_subgroup(), H)
                 qea = EAStructure(Q, p)
                 fbar = [ea.functional_on(c.f, proj.reps[b]) for b in qea.basis]
                 cbar = Coordinate(qea, canonical_functional(tuple(fbar), p))
                 u_bar = build_u(Q, p, _pi_array(qea, cbar))
-                good = (
-                    psi_u.total_dim() == u_bar.total_dim()
-                    and all(
-                        np.array_equal(psi_u.diff(n), u_bar.diff(n))
-                        for n in u_bar.diffs
-                    )
-                    and np.array_equal(pa.comp(0), map_a(u_bar).comp(0))
-                    and np.array_equal(pb.comp(0), map_b(u_bar).comp(0))
-                )
+                good = _same_uab(psi_u, pa, pb, u_bar)
                 lines.append(f"{tag}: Psi = (u,a,b) of the quotient = {good}")
             else:
                 good = (
@@ -154,21 +157,9 @@ def verify_functors():
                 lines.append(f"{tag}: Res = (unit[2'], 0, iso) = {good}")
             else:
                 ru, _ = res_complex(u, H)
-                Hg2, emb = subgroup_as_group(H)
-                pisub = [
-                    ea.functional_on(c.f, int(emb[h]))
-                    for h in range(Hg2.order)
-                ]
-                usub = build_u(Hg2, p, pisub)
-                good = (
-                    ru.total_dim() == usub.total_dim()
-                    and all(
-                        np.array_equal(ru.diff(n), usub.diff(n))
-                        for n in usub.diffs
-                    )
-                    and np.array_equal(ra.comp(0), map_a(usub).comp(0))
-                    and np.array_equal(rb.comp(0), map_b(usub).comp(0))
-                )
+                Hg2, proj = quotient(H, E.trivial_subgroup())
+                pisub = [ea.functional_on(c.f, h) for h in proj.reps]
+                good = _same_uab(ru, ra, rb, build_u(Hg2, p, pisub))
                 lines.append(f"{tag}: Res = (u,a,b) of the intersection = {good}")
             ok &= good
     return ok, lines

@@ -436,6 +436,20 @@ def subgroups_by_pairs(G):
     return sorted(found, key=lambda e: (len(e), e))
 
 
+def subgroup_as_group(H):
+    """Realize a subgroup as a FiniteGroup.
+
+    Returns (group, embed) where embed[i] is the parent index of element i;
+    the identity stays at index 0.
+    """
+    G = H.parent
+    embed = [0] + [x for x in H.elements if x != 0]
+    index = {x: i for i, x in enumerate(embed)}
+    table = [[index[G.mul(a, b)] for b in embed] for a in embed]
+    names = [G.name_of(x) for x in embed] if G.names else None
+    return FiniteGroup(table, names=names, check=False), embed
+
+
 def quotient_by_cosets(G, N):
     """G/N and its projection from the cosets of N as sets: each coset is
     gathered by multiplying, and the cosets are numbered by least element."""

@@ -11,7 +11,7 @@ from permspec.groups import (
     ResourceError,
     cyclic,
     elementary_abelian,
-    subgroup_as_group,
+    quotient,
 )
 from permspec.complexes import (
     ComplexError,
@@ -609,11 +609,11 @@ def test_equivariance_is_checked_over_all_of_G(g):
     # on the regular Klein G-set, the all-ones block on the subgroup {0, g}
     # commutes with <g> but with no element outside it
     E, p = elementary_abelian(2, 2), 2
-    H, embed = subgroup_as_group(E.subgroup([0, g]))
+    H, proj = quotient(E.subgroup([0, g]), E.trivial_subgroup())
     inside = np.isin(np.arange(4), [0, g])
     m = np.outer(inside, inside).astype(np.int64)
     regular = GSet(E, E.table)
-    on_H = GSet(H, E.table[np.asarray(embed)])
+    on_H = GSet(H, E.table[np.asarray(proj.reps)])
     PermComplex(H, p, {1: on_H, 0: on_H}, {1: m})
     with pytest.raises(ComplexError, match=r"^differential not equivariant at 1$"):
         PermComplex(E, p, {1: regular, 0: regular}, {1: m})

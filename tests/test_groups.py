@@ -23,7 +23,6 @@ from permspec.groups import (
     product,
     quaternion,
     quotient,
-    subgroup_as_group,
     weyl,
 )
 
@@ -82,12 +81,15 @@ def test_center_and_normalizer():
 def test_quotient_and_weyl():
     D8 = dihedral(8)
     Z = center(D8)
-    Q, proj = quotient(D8, Z)
+    Q, proj = quotient(D8.full_subgroup(), Z)
     assert Q.order == 4 and is_elementary_abelian(Q, 2)
     assert tuple(x for x in range(D8.order) if proj.map[x] == 0) == Z.elements
     L = next(S for S in p_subgroups(D8, 2) if S.order == 2 and not S.is_normal())
-    _, W, _ = weyl(D8, L)
+    N, W, proj = weyl(D8, L)
     assert W.order == 2
+    # the projection reads the normalizer's elements of D8
+    assert proj.reps == [0, min(set(N.elements) - set(L.elements))]
+    assert [x for x in range(D8.order) if proj.map[x] is not None] == list(N.elements)
 
 
 QUOTIENT_GROUPS = [
@@ -106,7 +108,7 @@ def test_quotient_matches_the_coset_reference(name, G, relabel):
     normals = [N for N in p_subgroups(G, 2) if N.is_normal()]
     assert len(normals) > 2
     for N in normals:
-        Q, proj = quotient(G, N)
+        Q, proj = quotient(G.full_subgroup(), N)
         Q_ref, proj_ref = quotient_by_cosets(G, N)
         assert np.array_equal(Q.table, Q_ref.table)
         assert Q.names == Q_ref.names
@@ -114,14 +116,32 @@ def test_quotient_matches_the_coset_reference(name, G, relabel):
         assert proj.reps == proj_ref.reps
 
 
-def test_subgroup_as_group_embeds():
+def test_quotient_by_the_trivial_subgroup_embeds():
+    # H/1 is H itself: its representatives are H's elements in order
     D8 = dihedral(8)
     for S in p_subgroups(D8, 2):
-        H, embed = subgroup_as_group(S)
-        assert H.order == S.order
+        H, proj = quotient(S, D8.trivial_subgroup())
+        embed = proj.reps
+        assert H.order == S.order and tuple(embed) == S.elements
         for a in range(H.order):
             for b in range(H.order):
                 assert embed[H.mul(a, b)] == D8.mul(embed[a], embed[b])
+
+
+def test_quotient_refuses_a_subgroup_outside_or_not_normal():
+    D8 = dihedral(8)
+    rotations = D8.subgroup(range(4))
+    s = D8.subgroup([0, 4])  # <s>, a reflection
+    with pytest.raises(GroupError, match="not inside"):
+        quotient(rotations, s)
+    with pytest.raises(GroupError, match="non-normal"):
+        quotient(D8.full_subgroup(), s)
+    # normal in the Klein four-group {1, r^2, s, r^2 s} it lies in, so the
+    # check runs over H, not over G
+    klein = D8.subgroup([0, 2, 4, 6])
+    assert quotient(klein, s)[0].order == 2
+    for G in (D8, quaternion(), product(cyclic(4), cyclic(4)), cyclic(1)):
+        assert G.full_subgroup() == G.subgroup(range(G.order))
 
 
 def test_conjugacy():

@@ -21,7 +21,6 @@ from permspec.groups import (
     p_subgroups,
     quaternion,
     quotient,
-    subgroup_as_group,
 )
 from permspec.gradedrings import (
     GradedPresentation,
@@ -46,6 +45,7 @@ from references import (
     fold_by_rings,
     functional_of_kernel,
     relabelled,
+    subgroup_as_group,
 )
 
 GROUPS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
@@ -71,7 +71,7 @@ def _ref_psi_hom(E, H, K, p):
     if not H.contains_subgroup(K):
         raise GroupError("psi_hom needs K <= H")
     src = local_ring(E, H, p)
-    Q, proj = quotient(E, E.subgroup(list(K.elements)))
+    Q, proj = quotient(E.full_subgroup(), E.subgroup(list(K.elements)))
     Hbar = Q.subgroup(sorted({int(proj.map[x]) for x in H.elements}))
     tgt = local_ring(Q, Hbar, p)
     images = []
@@ -412,7 +412,7 @@ def test_quotient_keeps_the_least_coset_representatives():
         for N in p_subgroups(G, p):
             if not N.is_normal():
                 continue
-            Q, proj = quotient(G, N)
+            Q, proj = quotient(G.full_subgroup(), N)
             assert len(proj.reps) == Q.order
             for b, x in enumerate(proj.reps):
                 assert proj.map[x] == b

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -22,6 +23,7 @@ from permspec.groups import (
     p_subgroups,
     product,
     quaternion,
+    quotient,
 )
 from permspec import sections
 from permspec.spectra import glue
@@ -38,8 +40,10 @@ from references import (
     is_section_by_loops,
     maxel_by_pairs,
     maximal_spans_all_pairs,
+    quotient_by_cosets,
     relabelled,
     sections_by_pairs,
+    subgroup_as_group,
     subgroups_by_pairs,
 )
 
@@ -347,6 +351,33 @@ def test_category_matches_set_reference(name, monkeypatch):
         (r.apex.key(), r.f1.g, r.f1.target.key(), r.f2.g, r.f2.target.key())
         for r in ref.maximal_relations()
     ] == rels
+
+
+QUOTIENT_SECTION_GROUPS = REFERENCE_GROUPS + [
+    ("D8xC2-relabelled", relabelled(product(dihedral(8), cyclic(2)), 11), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "name, G, p", QUOTIENT_SECTION_GROUPS, ids=[n for n, _, _ in QUOTIENT_SECTION_GROUPS]
+)
+def test_section_quotient_matches_the_two_step_reference(name, G, p):
+    """quotient(H, K) in one table equals H realized as its own group, K
+    re-indexed inside it and the quotient of that group taken by cosets."""
+    objects = SectionCategory(G, p).objects()
+    assert len(objects) > 2
+    for x in objects:
+        Q, proj = quotient(x.H, x.K)
+        Hgrp, embed = subgroup_as_group(x.H)
+        index = {h: i for i, h in enumerate(embed)}
+        Q_ref, proj_ref = quotient_by_cosets(
+            Hgrp, Hgrp.subgroup(index[k] for k in x.K.elements)
+        )
+        assert np.array_equal(Q.table, Q_ref.table)
+        assert Q.names == Q_ref.names
+        assert proj.reps == [embed[r] for r in proj_ref.reps]
+        assert [proj.map[h] for h in embed] == proj_ref.map
+        assert all(proj.map[g] is None for g in range(G.order) if g not in index)
 
 
 S4 = from_permutations(4, [[[0, 1]], [[0, 1, 2, 3]]])

@@ -630,13 +630,13 @@ def test_stratum_of_a_stratum_quotient_is_the_stratum_quotient(p, r, k):
     E = relabelled(E, k) if k else E
     subs = p_subgroups(E, p)
     for S_P in subs:
-        Qp, projp = quotient(E, S_P)
+        Qp, projp = quotient(E.full_subgroup(), S_P)
         for S_Q in subs:
             if not S_Q.contains_subgroup(S_P):
                 continue
             Hbar = Qp.subgroup(sorted({int(projp.map[x]) for x in S_Q.elements}))
-            Q2, proj2 = quotient(Qp, Hbar)
-            Qq, projq = quotient(E, S_Q)
+            Q2, proj2 = quotient(Qp.full_subgroup(), Hbar)
+            Qq, projq = quotient(E.full_subgroup(), S_Q)
             assert Q2 == Qq
             iota = [int(projq.map[projp.reps[proj2.reps[q]]]) for q in range(Q2.order)]
             assert iota == list(range(Qq.order))
